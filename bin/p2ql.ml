@@ -11,7 +11,7 @@
      p2ql chord --nodes 21 --duration 300 --monitors ring,oscillation \
           --crash n4:150 --snapshot-rate 0.1
      p2ql chord --nodes 21 --duration 300 --trace-log /tmp/flight
-     p2ql logctl /tmp/flight
+     p2ql inventory /tmp/flight
      p2ql replay --log /tmp/flight --from 100 --to 200 --olg query.olg
 *)
 
@@ -346,8 +346,8 @@ let sanitize_arg =
 let apply_sanitize engine b =
   if b then P2_runtime.Engine.set_sanitize engine true
 
-(* Flight recorder (PR-9): spill every node's trace records to an
-   on-disk segment log; inspect afterwards with [p2ql logctl] and
+(* Flight recorder: spill every node's trace records to an on-disk
+   segment log; inspect afterwards with [p2ql inventory] and
    [p2ql replay]. Applied before nodes exist, so they all pick up the
    shrunk spill-mode tracer window. *)
 let trace_log_arg =
@@ -358,16 +358,16 @@ let trace_log_arg =
         ~doc:
           "Record a flight-recorder segment log under $(docv)/ADDR/ for \
            every node (enables tracing, with the shrunk in-RAM spill \
-           window). Inspect afterwards with $(b,p2ql logctl) and \
+           window). Inspect afterwards with $(b,p2ql inventory) and \
            $(b,p2ql replay)")
 
 let apply_trace_log engine dir =
   Option.iter (fun d -> P2_runtime.Engine.set_trace_log engine d) dir
 
-(* Durable checkpoints (PR-10): snapshot every node's hard-state
-   tables to DIR/ADDR/ on a periodic cadence; [Engine.restart] then
-   recovers a crashed node from its newest intact snapshot. Inspect
-   afterwards with [p2ql ckptctl]. *)
+(* Durable checkpoints: snapshot every node's hard-state tables to
+   DIR/ADDR/ on a periodic cadence; [Engine.restart] then recovers a
+   crashed node from its newest intact snapshot. Inspect afterwards
+   with [p2ql inventory]. *)
 let checkpoint_arg =
   Arg.(
     value
@@ -376,7 +376,7 @@ let checkpoint_arg =
         ~doc:
           "Write durable checkpoints of every node's hard-state tables \
            under $(docv)/ADDR/; restarts recover from the newest intact \
-           snapshot. Inspect afterwards with $(b,p2ql ckptctl)")
+           snapshot. Inspect afterwards with $(b,p2ql inventory)")
 
 let checkpoint_interval_arg =
   Arg.(
@@ -1055,151 +1055,96 @@ let replay_cmd =
           historical OverLog query over the recorded window")
     Term.(const action $ log $ from_ $ to_ $ olg $ watches $ dump)
 
-(* --- logctl --- *)
+(* --- inventory --- *)
 
-let logctl_cmd =
+(* One status word per file: what an intact file is, or why it is
+   damaged. *)
+let segment_status (s : Seglog.segment) =
+  if Seglog.intact s then if s.sealed then "sealed" else "open"
+  else
+    "DAMAGED: "
+    ^ String.concat ", "
+        ((if not s.header_ok then [ "bad-header" ] else [])
+        @ (if s.torn then [ "torn-tail" ] else [])
+        @ (if s.bad_records > 0 then [ Fmt.str "%d bad record(s)" s.bad_records ]
+           else [])
+        @
+        match s.declared with
+        | Some d when d <> s.records -> [ Fmt.str "declared %d, found %d" d s.records ]
+        | _ -> [])
+
+let snapshot_status (i : Checkpoint.info) =
+  if i.i_ok then "ok" else "DAMAGED: " ^ Option.value i.i_error ~default:"unreadable"
+
+let inventory_cmd =
   let dir =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"DIR"
-          ~doc:"Flight-recorder root directory (as written by --trace-log)")
+          ~doc:"Root directory as written by --trace-log or --checkpoint")
   in
   let action dir =
-    if not (Sys.file_exists dir) then begin
-      Fmt.epr "p2ql logctl: %s: no such directory@." dir;
-      1
-    end
-    else
+    let fail fmt = Fmt.kstr (fun m -> Fmt.epr "p2ql inventory: %s@." m; 1) fmt in
     let addrs = Core.Replay.node_dirs dir in
-    if addrs = [] then begin
-      Fmt.epr "p2ql logctl: no node directories under %s@." dir;
-      1
-    end
+    if not (Sys.file_exists dir) then fail "%s: no such directory" dir
+    else if addrs = [] then fail "no node directories under %s" dir
     else begin
-      let bad = ref 0 and total_segments = ref 0 in
-      let total_records = ref 0 and total_bytes = ref 0 in
-      List.iter
-        (fun addr ->
-          let segs = Seglog.segments ~dir:(Filename.concat dir addr) in
-          total_segments := !total_segments + List.length segs;
-          Fmt.pr "%s: %d segment(s)@." addr (List.length segs);
-          List.iter
-            (fun (s : Seglog.segment) ->
-              total_records := !total_records + s.records;
-              total_bytes := !total_bytes + s.bytes;
-              let status =
-                if Seglog.intact s then
-                  if s.sealed then "sealed" else "open"
-                else begin
-                  incr bad;
-                  String.concat ","
-                    ((if not s.header_ok then [ "bad-header" ] else [])
-                    @ (if s.torn then [ "torn-tail" ] else [])
-                    @ (if s.bad_records > 0 then
-                         [ Fmt.str "%d bad record(s)" s.bad_records ]
-                       else [])
-                    @
-                    match s.declared with
-                    | Some d when d <> s.records ->
-                        [ Fmt.str "declared %d, found %d" d s.records ]
-                    | _ -> [])
-                end
-              in
-              Fmt.pr "  %-16s %9d bytes %7d records  seq %d+  [%g, %g]  %s@."
-                (Filename.basename s.path)
-                s.bytes s.records s.base_seq s.base_stamp s.last_stamp status)
-            segs)
-        addrs;
-      if !total_segments = 0 then begin
-        Fmt.epr "p2ql logctl: no segments under %s@." dir;
-        1
-      end
-      else begin
-        Fmt.pr "@.%d node(s), %d records, %d bytes%s@." (List.length addrs)
-          !total_records !total_bytes
-          (if !bad = 0 then ", all segments intact"
-           else Fmt.str ", %d DAMAGED segment(s)" !bad);
-        if !bad = 0 then 0 else 1
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "logctl"
-       ~doc:
-         "Inventory a flight-recorder log: per-segment record counts, \
-          stamp ranges and integrity (exit 1 if any segment is damaged)")
-    Term.(const action $ dir)
-
-(* --- ckptctl --- *)
-
-let ckptctl_cmd =
-  let dir =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"DIR"
-          ~doc:"Checkpoint root directory (as written by --checkpoint)")
-  in
-  let action dir =
-    if not (Sys.file_exists dir) then begin
-      Fmt.epr "p2ql ckptctl: %s: no such directory@." dir;
-      1
-    end
-    else
-    let addrs = Core.Replay.node_dirs dir in
-    if addrs = [] then begin
-      Fmt.epr "p2ql ckptctl: no node directories under %s@." dir;
-      1
-    end
-    else begin
-      let bad = ref 0 and total = ref 0 in
-      let total_rows = ref 0 and total_bytes = ref 0 in
+      let files = ref 0 and bad = ref 0 and bytes = ref 0 in
       List.iter
         (fun addr ->
           let node_dir = Filename.concat dir addr in
-          let infos = Checkpoint.inventory ~dir:node_dir in
-          let recoverable =
-            match Checkpoint.latest ~dir:node_dir with
-            | Some s -> Fmt.str "latest intact: %s" (Filename.basename s.Checkpoint.path)
-            | None -> "NO intact snapshot (restart cold-boots)"
+          let segs = Seglog.segments ~dir:node_dir in
+          let snaps = Checkpoint.inventory ~dir:node_dir in
+          (* the restart path's pick, from the same verification pass *)
+          let recovery =
+            if snaps = [] then ""
+            else
+              match List.find_opt (fun (i : Checkpoint.info) -> i.i_ok) (List.rev snaps) with
+              | Some i -> ", latest intact: " ^ Filename.basename i.i_path
+              | None -> ", NO intact snapshot (restart cold-boots)"
           in
-          Fmt.pr "%s: %d snapshot(s), %s@." addr (List.length infos) recoverable;
+          Fmt.pr "%s: %d segment(s), %d snapshot(s)%s@." addr (List.length segs)
+            (List.length snaps) recovery;
+          (* each file by its path under DIR, so a damaged one is named
+             unambiguously *)
+          let report ~ok ~size path line =
+            incr files;
+            if not ok then incr bad;
+            bytes := !bytes + size;
+            Fmt.pr "  %-22s %s@." (Filename.concat addr (Filename.basename path)) line
+          in
+          List.iter
+            (fun (s : Seglog.segment) ->
+              report ~ok:(Seglog.intact s) ~size:s.bytes s.path
+                (Fmt.str "%9d bytes %7d records  seq %d+  [%g, %g]  %s" s.bytes
+                   s.records s.base_seq s.base_stamp s.last_stamp (segment_status s)))
+            segs;
           List.iter
             (fun (i : Checkpoint.info) ->
-              incr total;
-              total_rows := !total_rows + i.Checkpoint.i_rows;
-              total_bytes := !total_bytes + i.Checkpoint.i_bytes;
-              if not i.Checkpoint.i_ok then incr bad;
-              Fmt.pr "  %-18s %9d bytes %4d table(s) %5d row(s)  stamp %-8g %s@."
-                (Filename.basename i.Checkpoint.i_path)
-                i.Checkpoint.i_bytes i.Checkpoint.i_tables i.Checkpoint.i_rows
-                i.Checkpoint.i_stamp
-                (if i.Checkpoint.i_ok then "ok"
-                 else
-                   "DAMAGED: "
-                   ^ Option.value i.Checkpoint.i_error ~default:"unreadable"))
-            infos)
+              report ~ok:i.i_ok ~size:i.i_bytes i.i_path
+                (Fmt.str "%9d bytes %4d table(s) %5d row(s)  stamp %-8g %s" i.i_bytes
+                   i.i_tables i.i_rows i.i_stamp (snapshot_status i)))
+            snaps)
         addrs;
-      if !total = 0 then begin
-        Fmt.epr "p2ql ckptctl: no snapshots under %s@." dir;
-        1
-      end
+      if !files = 0 then fail "no segments or snapshots under %s" dir
       else begin
-        Fmt.pr "@.%d node(s), %d snapshot(s), %d row(s), %d bytes%s@."
-          (List.length addrs) !total !total_rows !total_bytes
-          (if !bad = 0 then ", all snapshots intact"
-           else Fmt.str ", %d DAMAGED snapshot(s)" !bad);
+        Fmt.pr "@.%d node(s), %d file(s), %d bytes%s@." (List.length addrs) !files
+          !bytes
+          (if !bad = 0 then ", all files intact"
+           else Fmt.str ", %d DAMAGED file(s)" !bad);
         if !bad = 0 then 0 else 1
       end
     end
   in
   Cmd.v
-    (Cmd.info "ckptctl"
+    (Cmd.info "inventory"
        ~doc:
-         "Inventory a checkpoint directory: per-snapshot table/row counts, \
-          stamps and integrity, and which snapshot each node would recover \
-          from (exit 1 if any snapshot is damaged or none exist)")
+         "Inventory a flight-recorder log or checkpoint directory: every \
+          segment (records, seq, stamp range) and snapshot (tables, rows, \
+          stamp) per node, each with its integrity, and the snapshot each \
+          node would restart from (exit 1 if any file is damaged or none \
+          exist)")
     Term.(const action $ dir)
 
 (* --- peers --- *)
@@ -1274,5 +1219,5 @@ let () =
        (Cmd.group info
           [
             parse_cmd; check_cmd; explain_cmd; run_cmd; chord_cmd; stats_cmd;
-            campaign_cmd; peers_cmd; replay_cmd; logctl_cmd; ckptctl_cmd;
+            campaign_cmd; peers_cmd; replay_cmd; inventory_cmd;
           ]))

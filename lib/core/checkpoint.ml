@@ -20,47 +20,19 @@ open Overlog
      u16  name length | name | u32 row count
      then per row: u32 frame length | Wire data frame (Wire.encode) *)
 
-let magic = "P2CK"
-let format_version = 1
-let header_len = 41
+let format =
+  { Framed.magic = "P2CK"; version = 1; header_len = 41; prefix = "ckpt"; ext = "p2ck" }
+
+let header_len = format.header_len
 
 (* Length sanity bound while decoding: a frame longer than this means
    the length prefix itself is damaged. *)
 let max_frame_len = 1 lsl 24
 
-let crc32 = Seglog.crc32
-
 type config = { interval : float; retain : int option }
 
 let default_config = { interval = 10.; retain = Some 3 }
-
-(* --- Directory layout ---------------------------------------------- *)
-
-let file_name ix = Fmt.str "ckpt-%08d.p2ck" ix
-
-let file_index name =
-  if
-    String.length name = 18
-    && String.sub name 0 5 = "ckpt-"
-    && Filename.check_suffix name ".p2ck"
-  then int_of_string_opt (String.sub name 5 8)
-  else None
-
-let files ~dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-      Array.to_list entries
-      |> List.filter_map (fun n ->
-             Option.map (fun ix -> (ix, Filename.concat dir n)) (file_index n))
-      |> List.sort compare
-
-let rec mkdir_p dir =
-  if dir <> "" && not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let files ~dir = Framed.files format ~dir
 
 (* --- Writer -------------------------------------------------------- *)
 
@@ -78,57 +50,48 @@ type writer = {
   config : config;
   mutable next_index : int;
   mutable closed : bool;
-  mutable snapshots : int;
-  mutable rows_written : int;
-  mutable bytes_written : int;
-  mutable write_ns : int;
-  mutable retention_drops : int;
-  mutable last_stamp : float;
+  mutable stats : stats;
 }
 
+(* A write that died between creating its temp file and renaming it
+   (a crash, or an exception) leaves [ckpt-N.p2ck.tmp]; opening the
+   writer clears them, since no reader ever looks at one. *)
+let remove_stale_tmp dir =
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".p2ck.tmp" then Framed.rm_rf (Filename.concat dir f))
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
 let create ?(config = default_config) ~dir () =
-  mkdir_p dir;
-  let next_index =
-    match List.rev (files ~dir) with (ix, _) :: _ -> ix + 1 | [] -> 0
-  in
+  Framed.mkdir_p dir;
+  remove_stale_tmp dir;
   {
     w_dir = dir;
     config;
-    next_index;
+    next_index = Framed.next_index format ~dir ~first:0;
     closed = false;
-    snapshots = 0;
-    rows_written = 0;
-    bytes_written = 0;
-    write_ns = 0;
-    retention_drops = 0;
-    last_stamp = Float.nan;
+    stats =
+      {
+        snapshots = 0;
+        rows = 0;
+        bytes = 0;
+        write_ns = 0;
+        retention_drops = 0;
+        last_stamp = Float.nan;
+      };
   }
 
 let dir w = w.w_dir
-
-let stats w =
-  {
-    snapshots = w.snapshots;
-    rows = w.rows_written;
-    bytes = w.bytes_written;
-    write_ns = w.write_ns;
-    retention_drops = w.retention_drops;
-    last_stamp = w.last_stamp;
-  }
+let stats w = w.stats
 
 let encode_header ~stamp ~index ~tables ~rows ~body =
-  let b = Buffer.create header_len in
-  Buffer.add_string b magic;
-  Buffer.add_uint8 b format_version;
-  Buffer.add_int64_le b (Int64.bits_of_float stamp);
-  Buffer.add_int64_le b (Int64.of_int index);
-  Buffer.add_int32_le b (Int32.of_int tables);
-  Buffer.add_int32_le b (Int32.of_int rows);
-  Buffer.add_int32_le b (Int32.of_int (String.length body));
-  Buffer.add_int32_le b (Int32.of_int (crc32 body));
-  let prefix = Buffer.contents b in
-  Buffer.add_int32_le b (Int32.of_int (crc32 prefix));
-  Buffer.contents b
+  Framed.encode_header format (fun b ->
+      Buffer.add_int64_le b (Int64.bits_of_float stamp);
+      Buffer.add_int64_le b (Int64.of_int index);
+      Buffer.add_int32_le b (Int32.of_int tables);
+      Buffer.add_int32_le b (Int32.of_int rows);
+      Buffer.add_int32_le b (Int32.of_int (String.length body));
+      Buffer.add_int32_le b (Int32.of_int (Framed.crc32 body)))
 
 let encode_body tables =
   let b = Buffer.create 4096 in
@@ -152,21 +115,6 @@ let encode_body tables =
     tables;
   (Buffer.contents b, !rows)
 
-let apply_retention w =
-  match w.config.retain with
-  | None -> ()
-  | Some keep ->
-      let all = files ~dir:w.w_dir in
-      let excess = List.length all - keep in
-      if excess > 0 then
-        List.iteri
-          (fun i (_, path) ->
-            if i < excess then begin
-              (try Sys.remove path with Sys_error _ -> ());
-              w.retention_drops <- w.retention_drops + 1
-            end)
-          all
-
 let write w ~stamp ~tables =
   if w.closed then invalid_arg "Checkpoint.write: closed writer";
   let t0 = Unix.gettimeofday () in
@@ -175,22 +123,34 @@ let write w ~stamp ~tables =
   let header =
     encode_header ~stamp ~index ~tables:(List.length tables) ~rows ~body
   in
-  let path = Filename.concat w.w_dir (file_name index) in
+  let path = Filename.concat w.w_dir (Framed.file_name format index) in
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc header;
-  output_string oc body;
-  close_out oc;
   (* The rename is the commit point: readers either see the previous
-     set of snapshots or the complete new one, never a torn file. *)
-  Sys.rename tmp path;
+     set of snapshots or the complete new one, never a torn file. A
+     write that raises closes its channel and leaves no temp file. *)
+  Fun.protect
+    ~finally:(fun () -> Framed.rm_rf tmp)
+    (fun () ->
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc header;
+          output_string oc body);
+      Sys.rename tmp path);
   w.next_index <- index + 1;
-  w.snapshots <- w.snapshots + 1;
-  w.rows_written <- w.rows_written + rows;
-  w.bytes_written <- w.bytes_written + String.length header + String.length body;
-  w.last_stamp <- stamp;
-  apply_retention w;
-  w.write_ns <- w.write_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+  let drops =
+    match w.config.retain with
+    | Some keep -> Framed.retain ~keep (files ~dir:w.w_dir)
+    | None -> 0
+  in
+  let s = w.stats in
+  w.stats <-
+    {
+      snapshots = s.snapshots + 1;
+      rows = s.rows + rows;
+      bytes = s.bytes + String.length header + String.length body;
+      write_ns = s.write_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+      retention_drops = s.retention_drops + drops;
+      last_stamp = stamp;
+    };
   path
 
 let close w = w.closed <- true
@@ -201,44 +161,8 @@ type table = { name : string; rows : Wire.message list }
 
 type snapshot = { path : string; index : int; stamp : float; tables : table list }
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          Ok (really_input_string ic len))
-
 let u16_at s off = String.get_uint16_le s off
-let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
-
-type header = {
-  h_stamp : float;
-  h_index : int;
-  h_tables : int;
-  h_rows : int;
-  h_body_len : int;
-  h_body_crc : int;
-}
-
-let decode_header s =
-  if String.length s < header_len then Error "file shorter than header"
-  else if String.sub s 0 4 <> magic then Error "bad magic"
-  else if Char.code s.[4] <> format_version then
-    Error (Fmt.str "unsupported version %d" (Char.code s.[4]))
-  else if u32_at s 37 <> crc32 (String.sub s 0 37) then Error "header CRC mismatch"
-  else
-    Ok
-      {
-        h_stamp = Int64.float_of_bits (String.get_int64_le s 5);
-        h_index = Int64.to_int (String.get_int64_le s 13);
-        h_tables = u32_at s 21;
-        h_rows = u32_at s 25;
-        h_body_len = u32_at s 29;
-        h_body_crc = u32_at s 33;
-      }
+let u32_at = Framed.u32_at
 
 let decode_body ~tables body =
   let len = String.length body in
@@ -274,31 +198,39 @@ let decode_body ~tables body =
   if !pos <> len then fail "trailing bytes after last table";
   List.rev !out
 
-let read path =
-  match read_file path with
-  | Error e -> Error e
-  | Ok s -> (
-      match decode_header s with
-      | Error e -> Error e
-      | Ok h ->
-          if String.length s - header_len <> h.h_body_len then
-            Error
-              (Fmt.str "body length %d does not match header %d"
-                 (String.length s - header_len)
-                 h.h_body_len)
-          else
-            let body = String.sub s header_len h.h_body_len in
-            if crc32 body <> h.h_body_crc then Error "body CRC mismatch"
-            else (
-              match decode_body ~tables:h.h_tables body with
-              | exception Wire.Error e -> Error e
-              | tables ->
-                  let rows =
-                    List.fold_left (fun acc t -> acc + List.length t.rows) 0 tables
-                  in
-                  if rows <> h.h_rows then
-                    Error (Fmt.str "row count %d does not match header %d" rows h.h_rows)
-                  else Ok { path; index = h.h_index; stamp = h.h_stamp; tables }))
+let row_count tables =
+  List.fold_left (fun acc t -> acc + List.length t.rows) 0 tables
+
+(* Fully verify a snapshot image: header, body length and CRC, every
+   row frame, and the header's row count. *)
+let decode ~path s =
+  match Framed.check_header format s with
+  | Error e -> Error (Fmt.str "%a" Framed.pp_header_error e)
+  | Ok () -> (
+      let body_len = u32_at s 29 in
+      if String.length s - header_len <> body_len then
+        Error
+          (Fmt.str "body length %d does not match header %d"
+             (String.length s - header_len) body_len)
+      else if Framed.crc32_sub s header_len body_len <> u32_at s 33 then
+        Error "body CRC mismatch"
+      else
+        match decode_body ~tables:(u32_at s 21) (String.sub s header_len body_len) with
+        | exception Wire.Error e -> Error e
+        | tables ->
+            let rows = row_count tables and declared = u32_at s 25 in
+            if rows <> declared then
+              Error (Fmt.str "row count %d does not match header %d" rows declared)
+            else
+              Ok
+                {
+                  path;
+                  index = Int64.to_int (String.get_int64_le s 13);
+                  stamp = Int64.float_of_bits (String.get_int64_le s 5);
+                  tables;
+                })
+
+let read path = Result.bind (Framed.read_file path) (decode ~path)
 
 let latest ~dir =
   let rec scan = function
@@ -324,35 +256,28 @@ type info = {
 let inventory ~dir =
   List.map
     (fun (ix, path) ->
-      let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-      match read path with
+      let contents = Framed.read_file path in
+      let info =
+        {
+          i_path = path;
+          i_index = ix;
+          i_ok = false;
+          i_error = None;
+          i_stamp = Float.nan;
+          i_tables = 0;
+          i_rows = 0;
+          i_bytes = Result.fold ~ok:String.length ~error:(Fun.const 0) contents;
+        }
+      in
+      match Result.bind contents (decode ~path) with
       | Ok s ->
-          {
-            i_path = path;
-            i_index = ix;
-            i_ok = true;
-            i_error = None;
-            i_stamp = s.stamp;
-            i_tables = List.length s.tables;
-            i_rows =
-              List.fold_left (fun acc t -> acc + List.length t.rows) 0 s.tables;
-            i_bytes = bytes;
-          }
-      | Error e ->
-          let stamp =
-            match read_file path with
-            | Ok s when String.length s >= 13 && String.sub s 0 4 = magic ->
-                Int64.float_of_bits (String.get_int64_le s 5)
-            | _ -> Float.nan
-          in
-          {
-            i_path = path;
-            i_index = ix;
-            i_ok = false;
-            i_error = Some e;
-            i_stamp = stamp;
-            i_tables = 0;
-            i_rows = 0;
-            i_bytes = bytes;
-          })
+          let i_tables = List.length s.tables and i_rows = row_count s.tables in
+          { info with i_ok = true; i_stamp = s.stamp; i_tables; i_rows }
+      | Error e -> (
+          let info = { info with i_error = Some e } in
+          (* a damaged file still shows its stamp when the magic holds *)
+          match contents with
+          | Ok s when String.length s >= 13 && String.sub s 0 4 = format.magic ->
+              { info with i_stamp = Int64.float_of_bits (String.get_int64_le s 5) }
+          | _ -> info))
     (files ~dir)

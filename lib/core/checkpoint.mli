@@ -10,7 +10,9 @@
     wire codec. Files are written to a temporary name and atomically
     renamed into place — a crash mid-write never leaves a damaged
     checkpoint visible, only (at worst) a stale [.tmp] that readers
-    ignore. Retention keeps the newest N snapshots.
+    ignore and the next writer deletes. Retention keeps the newest N
+    snapshots. Header checks, file numbering and retention come from
+    {!Framed}, the file layer shared with the segment log.
 
     Determinism: the byte image is a pure function of (stamp, index,
     table contents in catalog order, row order, tuple ids). Because
@@ -39,7 +41,8 @@ val default_config : config
 type writer
 
 (** Open (or re-open) a node's checkpoint directory, creating it if
-    needed; numbering continues after the highest existing snapshot,
+    needed, and delete any stale [*.p2ck.tmp] an interrupted write
+    left; numbering continues after the highest existing snapshot,
     so a restarted process never overwrites history it might still
     need to fall back to. *)
 val create : ?config:config -> dir:string -> unit -> writer
@@ -50,7 +53,8 @@ val dir : writer -> string
     engine passes catalog order — sorted by name — with rows in
     insertion order). Returns the path of the new snapshot file.
     The write is atomic (temp file + rename) and applies retention
-    afterwards. Raises [Invalid_argument] on a closed writer. *)
+    afterwards; if it raises, the temp file is closed and removed.
+    Raises [Invalid_argument] on a closed writer. *)
 val write : writer -> stamp:float -> tables:(string * Tuple.t list) list -> string
 
 (** Release the writer. Snapshot files stay on disk. *)
@@ -91,7 +95,7 @@ val files : dir:string -> (int * string) list
     [None] when the directory holds no intact snapshot (cold boot). *)
 val latest : dir:string -> snapshot option
 
-(** Per-file inventory, as reported by [p2ql ckptctl]. *)
+(** Per-file inventory, as reported by [p2ql inventory]. *)
 type info = {
   i_path : string;
   i_index : int;

@@ -19,33 +19,13 @@ open Overlog
      u32  CRC-32 of the payload
      payload = f64 stamp | Wire data frame (Wire.encode) *)
 
-let magic = "P2SL"
-let format_version = 1
-let header_len = 37
+let format =
+  { Framed.magic = "P2SL"; version = 1; header_len = 37; prefix = "seg"; ext = "p2sl" }
 let count_sentinel = 0xFFFFFFFF
 
 (* Length sanity bound during scans: a frame longer than this means
    the length prefix itself is damaged, so treat the tail as torn. *)
 let max_record_len = 1 lsl 24
-
-(* --- CRC-32 (IEEE 802.3, reflected), table-driven ------------------ *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
 
 (* --- Config -------------------------------------------------------- *)
 
@@ -64,50 +44,16 @@ let default_config =
     buffer_bytes = 256 * 1024;
   }
 
-(* --- Directory layout ---------------------------------------------- *)
-
-let seg_name ix = Fmt.str "seg-%08d.p2sl" ix
-
-let seg_index name =
-  if
-    String.length name = 17
-    && String.sub name 0 4 = "seg-"
-    && Filename.check_suffix name ".p2sl"
-  then int_of_string_opt (String.sub name 4 8)
-  else None
-
-(* (index, path) for every segment file, in log order. *)
-let seg_files dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-      Array.to_list entries
-      |> List.filter_map (fun n ->
-             Option.map (fun ix -> (ix, Filename.concat dir n)) (seg_index n))
-      |> List.sort compare
-
-let rec mkdir_p dir =
-  if dir <> "" && not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let seg_files dir = Framed.files format ~dir
 
 (* --- Header codec -------------------------------------------------- *)
 
 let encode_header ~base_stamp ~base_seq ~last_stamp ~count =
-  let b = Buffer.create header_len in
-  Buffer.add_string b magic;
-  Buffer.add_uint8 b format_version;
-  Buffer.add_int64_le b (Int64.bits_of_float base_stamp);
-  Buffer.add_int64_le b (Int64.of_int base_seq);
-  Buffer.add_int64_le b (Int64.bits_of_float last_stamp);
-  Buffer.add_int32_le b (Int32.of_int count);
-  let body = Buffer.contents b in
-  Buffer.add_int32_le b (Int32.of_int (crc32 body));
-  Buffer.contents b
-
-let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
+  Framed.encode_header format (fun b ->
+      Buffer.add_int64_le b (Int64.bits_of_float base_stamp);
+      Buffer.add_int64_le b (Int64.of_int base_seq);
+      Buffer.add_int64_le b (Int64.bits_of_float last_stamp);
+      Buffer.add_int32_le b (Int32.of_int count))
 
 type header = {
   h_base_stamp : float;
@@ -117,80 +63,76 @@ type header = {
 }
 
 let decode_header s =
-  if
-    String.length s >= header_len
-    && String.sub s 0 4 = magic
-    && Char.code s.[4] = format_version
-    && u32_at s 33 = crc32 (String.sub s 0 33)
-  then
-    Some
-      {
-        h_base_stamp = Int64.float_of_bits (String.get_int64_le s 5);
-        h_base_seq = Int64.to_int (String.get_int64_le s 13);
-        h_last_stamp = Int64.float_of_bits (String.get_int64_le s 21);
-        h_count = u32_at s 29;
-      }
-  else None
+  match Framed.check_header format s with
+  | Error _ -> None
+  | Ok () ->
+      Some
+        {
+          h_base_stamp = Int64.float_of_bits (String.get_int64_le s 5);
+          h_base_seq = Int64.to_int (String.get_int64_le s 13);
+          h_last_stamp = Int64.float_of_bits (String.get_int64_le s 21);
+          h_count = Framed.u32_at s 29;
+        }
 
 (* --- Record framing ------------------------------------------------ *)
 
 let frame_record ~stamp ~delete tuple =
-  let payload =
-    let b = Buffer.create 64 in
-    Buffer.add_int64_le b (Int64.bits_of_float stamp);
-    Buffer.add_string b (Wire.encode ~delete tuple);
-    Buffer.contents b
-  in
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (crc32 payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let frame = Wire.encode ~delete tuple in
+  let plen = 8 + String.length frame in
+  let b = Bytes.create (8 + plen) in
+  Bytes.set_int32_le b 0 (Int32.of_int plen);
+  Bytes.set_int64_le b 8 (Int64.bits_of_float stamp);
+  Bytes.blit_string frame 0 b 16 (String.length frame);
+  let crc = Framed.crc32_sub (Bytes.unsafe_to_string b) 8 plen in
+  Bytes.set_int32_le b 4 (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
-(* Visit every CRC-good record payload in a segment image; returns
-   (good count, end offset of the last complete record, torn?, CRC-bad
-   count). CRC-bad records with intact framing are skipped and the
-   scan continues; incomplete framing at the tail stops it. *)
+(* Visit every CRC-good record payload in a segment image as
+   [visit image offset length]; returns (good count, end offset of the
+   last complete record, torn?, CRC-bad count). CRC-bad records with
+   intact framing are skipped and the scan continues; incomplete
+   framing at the tail stops it. *)
 let scan_payloads s visit =
   let len = String.length s in
   let rec go off good bad =
     if off + 8 > len then (good, off, off < len, bad)
     else
-      let plen = u32_at s off in
-      let crc = u32_at s (off + 4) in
+      let plen = Framed.u32_at s off in
       if plen = 0 || plen > max_record_len || off + 8 + plen > len then
         (good, off, true, bad)
-      else
-        let payload = String.sub s (off + 8) plen in
-        if crc32 payload <> crc then go (off + 8 + plen) good (bad + 1)
-        else begin
-          visit payload;
-          go (off + 8 + plen) (good + 1) bad
-        end
+      else if Framed.crc32_sub s (off + 8) plen <> Framed.u32_at s (off + 4)
+      then go (off + 8 + plen) good (bad + 1)
+      else begin
+        visit s (off + 8) plen;
+        go (off + 8 + plen) (good + 1) bad
+      end
   in
-  go header_len 0 0
+  go format.header_len 0 0
 
-let payload_stamp payload =
-  if String.length payload >= 8 then
-    Some (Int64.float_of_bits (String.get_int64_le payload 0))
-  else None
+let stamp_at s off = Int64.float_of_bits (String.get_int64_le s off)
 
-let decode_payload payload =
-  match payload_stamp payload with
-  | None -> None
-  | Some stamp -> (
-      let frame = String.sub payload 8 (String.length payload - 8) in
-      match Wire.decode frame with
-      | { Wire.kind = Wire.Data m; _ } ->
-          Some
-            ( stamp,
-              m.Wire.delete,
-              Tuple.make ~id:m.Wire.src_tuple_id m.Wire.name m.Wire.fields )
-      | _ -> None
-      | exception Wire.Error _ -> None)
+(* First and last record stamps of a segment image, by scanning. *)
+let scan_stamps s =
+  let first = ref Float.nan and last = ref Float.nan in
+  let scan =
+    scan_payloads s (fun s off plen ->
+        if plen >= 8 then begin
+          let st = stamp_at s off in
+          if Float.is_nan !first then first := st;
+          last := st
+        end)
+  in
+  (!first, !last, scan)
 
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
+(* The (delete, tuple) of a payload at least 8 bytes long. *)
+let decode_payload s off plen =
+  match Wire.decode (String.sub s (off + 8) (plen - 8)) with
+  | { Wire.kind = Wire.Data m; _ } ->
+      Some (m.Wire.delete, Tuple.make ~id:m.Wire.src_tuple_id m.Wire.name m.Wire.fields)
+  | _ -> None
+  | exception Wire.Error _ -> None
+
+let read_file path = Result.value (Framed.read_file path) ~default:""
 
 (* --- Writer -------------------------------------------------------- *)
 
@@ -200,15 +142,12 @@ type stats = {
   bytes_written : int;
   flush_ns : int;
   retention_drops : int;
-  buffered_records : int;
-  buffered_bytes : int;
 }
 
 type writer = {
   config : config;
   w_dir : string;
   mutable chan : out_channel;
-  mutable cur_path : string;
   mutable cur_index : int;
   mutable cur_base_seq : int;
   mutable cur_first_stamp : float;  (* nan until the first record *)
@@ -216,29 +155,15 @@ type writer = {
   mutable cur_records : int;
   mutable cur_bytes : int;  (* file bytes including the header *)
   mutable pending : (float * string) list;  (* newest first *)
-  mutable pending_records : int;
   mutable pending_bytes : int;
   mutable next_seq : int;  (* log-wide seq of the next append *)
   mutable closed : bool;
-  mutable segments_sealed : int;
-  mutable records_written : int;
-  mutable bytes_written : int;
-  mutable flush_ns : int;
-  mutable retention_drops : int;
+  mutable stats : stats;
 }
 
 let dir w = w.w_dir
 
-let stats w =
-  {
-    segments_sealed = w.segments_sealed;
-    records_written = w.records_written;
-    bytes_written = w.bytes_written;
-    flush_ns = w.flush_ns;
-    retention_drops = w.retention_drops;
-    buffered_records = w.pending_records;
-    buffered_bytes = w.pending_bytes;
-  }
+let stats w = w.stats
 
 (* Patch a header in place through a raw fd (also used by recovery,
    which may need to truncate a torn tail with the same handle). *)
@@ -253,71 +178,67 @@ let rewrite_header ?truncate_at path header =
       let n = Unix.write fd b 0 (Bytes.length b) in
       if n <> Bytes.length b then failwith "Seglog: short header write")
 
+let cur_path w = Filename.concat w.w_dir (Framed.file_name format w.cur_index)
+
 let open_segment w =
-  let path = Filename.concat w.w_dir (seg_name w.cur_index) in
-  let chan = open_out_bin path in
+  let chan = open_out_bin (cur_path w) in
   output_string chan
     (encode_header ~base_stamp:Float.nan ~base_seq:w.next_seq
        ~last_stamp:Float.nan ~count:count_sentinel);
   Stdlib.flush chan;
   w.chan <- chan;
-  w.cur_path <- path;
   w.cur_base_seq <- w.next_seq;
   w.cur_first_stamp <- Float.nan;
   w.cur_last_stamp <- Float.nan;
   w.cur_records <- 0;
-  w.cur_bytes <- header_len
+  w.cur_bytes <- format.header_len
 
 (* Seal the current segment: patch the header with the real stamps and
    count. An empty segment is deleted instead. *)
 let seal_current w =
   Stdlib.flush w.chan;
   close_out w.chan;
-  if w.cur_records = 0 then Sys.remove w.cur_path
+  if w.cur_records = 0 then Sys.remove (cur_path w)
   else begin
-    rewrite_header w.cur_path
+    rewrite_header (cur_path w)
       (encode_header ~base_stamp:w.cur_first_stamp ~base_seq:w.cur_base_seq
          ~last_stamp:w.cur_last_stamp ~count:w.cur_records);
-    w.segments_sealed <- w.segments_sealed + 1
+    w.stats <- { w.stats with segments_sealed = w.stats.segments_sealed + 1 }
   end
 
 (* Read just the header of a sealed segment (37 bytes). *)
 let read_header path =
-  match
-    In_channel.with_open_bin path (fun ic ->
-        really_input_string ic header_len)
-  with
-  | s -> decode_header s
-  | exception (Sys_error _ | End_of_file) -> None
+  match Framed.read_file ~max:format.header_len path with
+  | Ok s -> decode_header s
+  | Error _ -> None
 
 (* Drop sealed segments beyond the count / age horizons. [now_stamp]
    is the node-local stamp of the newest record (ages are measured on
    the recorded clock, not wall time). *)
 let apply_retention w ~now_stamp =
-  let drop path =
-    (try Sys.remove path with Sys_error _ -> ());
-    w.retention_drops <- w.retention_drops + 1
-  in
   let sealed () =
     List.filter (fun (ix, _) -> ix <> w.cur_index) (seg_files w.w_dir)
   in
-  (match w.config.retain_segments with
-  | Some n when n >= 0 ->
-      let s = sealed () in
-      let excess = List.length s - n in
-      if excess > 0 then
-        List.iteri (fun i (_, path) -> if i < excess then drop path) s
-  | _ -> ());
-  match w.config.retain_age with
-  | Some age ->
-      List.iter
-        (fun (_, path) ->
-          match read_header path with
-          | Some h when h.h_count <> count_sentinel ->
-              if h.h_last_stamp < now_stamp -. age then drop path
-          | _ -> ())
-        (sealed ())
-  | None -> ()
+  let by_count =
+    match w.config.retain_segments with
+    | Some keep when keep >= 0 -> Framed.retain ~keep (sealed ())
+    | _ -> 0
+  in
+  let by_age =
+    match w.config.retain_age with
+    | Some age ->
+        Framed.retain ~keep:0
+          (List.filter
+             (fun (_, path) ->
+               match read_header path with
+               | Some h when h.h_count <> count_sentinel ->
+                   h.h_last_stamp < now_stamp -. age
+               | _ -> false)
+             (sealed ()))
+    | None -> 0
+  in
+  let drops = w.stats.retention_drops + by_count + by_age in
+  w.stats <- { w.stats with retention_drops = drops }
 
 let roll w ~now_stamp =
   seal_current w;
@@ -331,8 +252,8 @@ let flush w =
   if w.pending <> [] then begin
     let t0 = Unix.gettimeofday () in
     let items = List.rev w.pending in
+    let bytes = w.pending_bytes in
     w.pending <- [];
-    w.pending_records <- 0;
     w.pending_bytes <- 0;
     List.iter
       (fun (stamp, framed) ->
@@ -346,19 +267,23 @@ let flush w =
            seq of the next record it will actually hold *)
         w.next_seq <- w.next_seq + 1;
         w.cur_records <- w.cur_records + 1;
-        w.cur_bytes <- w.cur_bytes + String.length framed;
-        w.records_written <- w.records_written + 1;
-        w.bytes_written <- w.bytes_written + String.length framed)
+        w.cur_bytes <- w.cur_bytes + String.length framed)
       items;
     Stdlib.flush w.chan;
-    w.flush_ns <- w.flush_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+    let s = w.stats in
+    w.stats <-
+      {
+        s with
+        records_written = s.records_written + List.length items;
+        bytes_written = s.bytes_written + bytes;
+        flush_ns = s.flush_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+      }
   end
 
 let append w ~stamp ~delete tuple =
   if w.closed then invalid_arg "Seglog.append: writer is closed";
   let framed = frame_record ~stamp ~delete tuple in
   w.pending <- (stamp, framed) :: w.pending;
-  w.pending_records <- w.pending_records + 1;
   w.pending_bytes <- w.pending_bytes + String.length framed;
   if w.pending_bytes >= w.config.buffer_bytes then flush w
 
@@ -378,15 +303,7 @@ let recover_segment path =
   match decode_header contents with
   | None -> None
   | Some h ->
-      let first = ref Float.nan and last = ref Float.nan in
-      let count, end_off, torn, _bad =
-        scan_payloads contents (fun payload ->
-            match payload_stamp payload with
-            | Some st ->
-                if Float.is_nan !first then first := st;
-                last := st
-            | None -> ())
-      in
+      let first, last, (count, end_off, torn, _bad) = scan_stamps contents in
       if count = 0 then begin
         Sys.remove path;
         Some h.h_base_seq
@@ -395,19 +312,22 @@ let recover_segment path =
         if torn || h.h_count = count_sentinel then
           rewrite_header path
             ?truncate_at:(if torn then Some end_off else None)
-            (encode_header ~base_stamp:!first ~base_seq:h.h_base_seq
-               ~last_stamp:!last ~count);
+            (encode_header ~base_stamp:first ~base_seq:h.h_base_seq
+               ~last_stamp:last ~count);
         Some (h.h_base_seq + count)
       end
 
 let create ?(config = default_config) ~dir () =
-  mkdir_p dir;
+  Framed.mkdir_p dir;
+  (* Numbering continues past every segment on disk, including an
+     empty one that recovery is about to delete. *)
+  let next_index = Framed.next_index format ~dir ~first:1 in
   (* Recover every unsealed segment (normally just the last one a
      crash left behind); sealed headers are trusted for the sequence
      handoff without rescanning their records. *)
-  let next_index, next_seq =
+  let next_seq =
     List.fold_left
-      (fun (next_ix, next_seq) (ix, path) ->
+      (fun next_seq (_, path) ->
         let seg_next =
           match read_header path with
           | Some h when h.h_count <> count_sentinel ->
@@ -415,15 +335,14 @@ let create ?(config = default_config) ~dir () =
           | Some _ -> recover_segment path
           | None -> None
         in
-        (max next_ix (ix + 1), max next_seq (Option.value seg_next ~default:0)))
-      (1, 0) (seg_files dir)
+        max next_seq (Option.value seg_next ~default:0))
+      0 (seg_files dir)
   in
   let w =
     {
       config;
       w_dir = dir;
       chan = stdout;  (* replaced by open_segment below *)
-      cur_path = "";
       cur_index = next_index;
       cur_base_seq = next_seq;
       cur_first_stamp = Float.nan;
@@ -431,15 +350,17 @@ let create ?(config = default_config) ~dir () =
       cur_records = 0;
       cur_bytes = 0;
       pending = [];
-      pending_records = 0;
       pending_bytes = 0;
       next_seq;
       closed = false;
-      segments_sealed = 0;
-      records_written = 0;
-      bytes_written = 0;
-      flush_ns = 0;
-      retention_drops = 0;
+      stats =
+        {
+          segments_sealed = 0;
+          records_written = 0;
+          bytes_written = 0;
+          flush_ns = 0;
+          retention_drops = 0;
+        };
     }
   in
   open_segment w;
@@ -461,16 +382,17 @@ let iter ?(from_ = neg_infinity) ?(to_ = infinity) ~dir f =
           if not (sealed && (h.h_base_stamp > to_ || h.h_last_stamp < from_))
           then begin
             let contents = read_file path in
-            let seq = ref h.h_base_seq in
+            let next = ref h.h_base_seq in
             ignore
-              (scan_payloads contents (fun payload ->
-                   let s = !seq in
-                   incr seq;
-                   match decode_payload payload with
-                   | Some (stamp, delete, tuple)
-                     when from_ <= stamp && stamp <= to_ ->
-                       f { stamp; seq = s; delete; tuple }
-                   | _ -> ()))
+              (scan_payloads contents (fun s off plen ->
+                   let seq = !next in
+                   incr next;
+                   if plen >= 8 then
+                     let stamp = stamp_at s off in
+                     if from_ <= stamp && stamp <= to_ then
+                       match decode_payload s off plen with
+                       | Some (delete, tuple) -> f { stamp; seq; delete; tuple }
+                       | None -> ()))
           end)
     (seg_files dir)
 
@@ -488,49 +410,39 @@ type segment = {
   bad_records : int;
 }
 
+(* What [segments] reports for a file whose header does not check. *)
+let no_header =
+  {
+    h_base_stamp = Float.nan;
+    h_base_seq = -1;
+    h_last_stamp = Float.nan;
+    h_count = count_sentinel;
+  }
+
 let segments ~dir =
   List.map
     (fun (_, path) ->
       let contents = read_file path in
-      match decode_header contents with
-      | None ->
-          {
-            path;
-            header_ok = false;
-            sealed = false;
-            base_stamp = Float.nan;
-            base_seq = -1;
-            last_stamp = Float.nan;
-            records = 0;
-            declared = None;
-            bytes = String.length contents;
-            torn = true;
-            bad_records = 0;
-          }
-      | Some h ->
-          let first = ref Float.nan and last = ref Float.nan in
-          let records, _end_off, torn, bad_records =
-            scan_payloads contents (fun payload ->
-                match payload_stamp payload with
-                | Some st ->
-                    if Float.is_nan !first then first := st;
-                    last := st
-                | None -> ())
-          in
-          let sealed = h.h_count <> count_sentinel in
-          {
-            path;
-            header_ok = true;
-            sealed;
-            base_stamp = (if sealed then h.h_base_stamp else !first);
-            base_seq = h.h_base_seq;
-            last_stamp = (if sealed then h.h_last_stamp else !last);
-            records;
-            declared = (if sealed then Some h.h_count else None);
-            bytes = String.length contents;
-            torn;
-            bad_records;
-          })
+      let header_ok, h =
+        match decode_header contents with Some h -> (true, h) | None -> (false, no_header)
+      in
+      let first, last, (records, _end_off, torn, bad_records) =
+        if header_ok then scan_stamps contents else (Float.nan, Float.nan, (0, 0, true, 0))
+      in
+      let sealed = h.h_count <> count_sentinel in
+      {
+        path;
+        header_ok;
+        sealed;
+        base_stamp = (if sealed then h.h_base_stamp else first);
+        base_seq = h.h_base_seq;
+        last_stamp = (if sealed then h.h_last_stamp else last);
+        records;
+        declared = (if sealed then Some h.h_count else None);
+        bytes = String.length contents;
+        torn;
+        bad_records;
+      })
     (seg_files dir)
 
 let intact s =

@@ -16,7 +16,9 @@
     rotate at a configurable size; retention drops the oldest sealed
     segments by count or age. Opening a writer over an existing log
     recovers from crashes: a torn tail record is truncated and the
-    interrupted segment is sealed in place. *)
+    interrupted segment is sealed in place. Header checks, segment
+    numbering and count retention come from {!Framed}, the file layer
+    shared with checkpoints. *)
 
 open Overlog
 
@@ -73,8 +75,6 @@ type stats = {
   bytes_written : int;  (** framed record bytes flushed to disk *)
   flush_ns : int;  (** cumulative wall time spent inside {!flush} *)
   retention_drops : int;  (** sealed segments deleted by retention *)
-  buffered_records : int;  (** records waiting for the next flush *)
-  buffered_bytes : int;  (** bytes waiting for the next flush *)
 }
 
 val stats : writer -> stats
@@ -92,7 +92,7 @@ type record = { stamp : float; seq : int; delete : bool; tuple : Tuple.t }
     ends the segment. Safe on a log that is still being written. *)
 val iter : ?from_:float -> ?to_:float -> dir:string -> (record -> unit) -> unit
 
-(** Per-segment inventory, as reported by [p2ql logctl]. *)
+(** Per-segment inventory, as reported by [p2ql inventory]. *)
 type segment = {
   path : string;
   header_ok : bool;  (** magic, version and header CRC all check out *)
@@ -113,8 +113,3 @@ val segments : dir:string -> segment list
 (** A segment is intact: readable header, no torn tail, no CRC-bad
     records, and (when sealed) the scanned count matches the header. *)
 val intact : segment -> bool
-
-(** CRC-32 (IEEE 802.3, reflected) of a string — the checksum used by
-    both the segment header and record framing; exposed so tests and
-    external parsers can cross-check. *)
-val crc32 : string -> int

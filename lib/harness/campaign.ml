@@ -40,17 +40,6 @@ let default_config =
     oracle = Oracle.default_config;
   }
 
-(* A run's checkpoint cell is recreated from scratch: re-running one
-   (seed, intensity) cell — which the shrinker does dozens of times —
-   must not recover from a previous attempt's snapshots. *)
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-
 type stats = { tx : int; dropped : int; oracle : Oracle.stats }
 type outcome = Pass | Fail of Oracle.violation list
 
@@ -104,7 +93,7 @@ let run_plan cfg ~seed ?(intensity = 0) ?after_settle ?on_done (plan : Fault_pla
   Option.iter
     (fun dir ->
       let cell = Filename.concat dir (Fmt.str "seed%d-i%d" seed intensity) in
-      rm_rf cell;
+      Framed.rm_rf cell;
       Engine.set_checkpoint engine
         ~config:
           { Checkpoint.default_config with interval = cfg.checkpoint_interval }

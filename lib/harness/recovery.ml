@@ -16,14 +16,6 @@ type result = {
   ckpt_write_ns : int;
 }
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-
 (* Scenario timing, relative to the end of settle. The victim reboots
    6 s after failing — inside its neighbors' 12 s suspicion window, the
    regime durable state is for: nobody has purged it yet, so a
@@ -52,7 +44,7 @@ let measure ?(nodes = 21) ?(seed = 11) ?(shards = 0) ?(sanitize = false)
   if sanitize then Engine.set_sanitize engine true;
   (match arm with
   | Checkpointed ->
-      rm_rf dir;
+      Framed.rm_rf dir;
       Engine.set_checkpoint engine
         ~config:
           { Checkpoint.default_config with interval = checkpoint_interval }

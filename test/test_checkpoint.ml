@@ -127,6 +127,54 @@ let test_no_tmp_left_behind () =
   in
   Alcotest.(check (list string)) "only .p2ck files on disk" [] leftovers
 
+let test_stale_tmp_removed () =
+  let dir = tmpdir () in
+  let w = Checkpoint.create ~dir () in
+  ignore (Checkpoint.write w ~stamp:1. ~tables);
+  ignore (Checkpoint.write w ~stamp:2. ~tables);
+  Checkpoint.close w;
+  (* a crash between the temp write and its rename leaves this *)
+  let stale = Filename.concat dir "ckpt-00000002.p2ck.tmp" in
+  Out_channel.with_open_bin stale (fun oc -> output_string oc "torn");
+  let stamp_of = Option.map (fun s -> s.Checkpoint.stamp) in
+  let latest_before = stamp_of (Checkpoint.latest ~dir) in
+  let w = Checkpoint.create ~dir () in
+  Alcotest.(check bool) "opening a writer removes the stale tmp" false
+    (Sys.file_exists stale);
+  Alcotest.(check (option (float 0.))) "latest unchanged" latest_before
+    (stamp_of (Checkpoint.latest ~dir));
+  Alcotest.(check (list int)) "snapshots untouched" [ 0; 1 ]
+    (List.map fst (Checkpoint.files ~dir));
+  (* a write that raises (here the rename: a directory holds the
+     target name) must not leave its tmp behind either *)
+  let target = Filename.concat dir "ckpt-00000002.p2ck" in
+  Unix.mkdir target 0o755;
+  (match Checkpoint.write w ~stamp:3. ~tables with
+  | _ -> Alcotest.fail "write onto a directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check bool) "failed write removed its tmp" false
+    (Sys.file_exists (target ^ ".tmp"));
+  Unix.rmdir target;
+  let path = Checkpoint.write w ~stamp:3. ~tables in
+  Checkpoint.close w;
+  Alcotest.(check string) "numbering unchanged" "ckpt-00000002.p2ck"
+    (Filename.basename path)
+
+(* A fixed snapshot must be exactly these bytes: length and MD5 of
+   the whole file, captured from the format as first shipped
+   (version 1). *)
+let test_format_pinned () =
+  let dir = tmpdir () in
+  let w = Checkpoint.create ~dir () in
+  ignore (Checkpoint.write w ~stamp:1. ~tables);
+  let path = Checkpoint.write w ~stamp:12.5 ~tables in
+  Checkpoint.close w;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check (triple string int string))
+    "snapshot file"
+    ("ckpt-00000001.p2ck", 156, "a9f10930741d6836047b32852e7eba3a")
+    (Filename.basename path, String.length s, Digest.to_hex (Digest.string s))
+
 (* --- engine integration --- *)
 
 let settle = 120.
@@ -247,6 +295,9 @@ let () =
           Alcotest.test_case "damage fallback" `Quick test_damage_fallback;
           Alcotest.test_case "atomic writes leave no tmp files" `Quick
             test_no_tmp_left_behind;
+          Alcotest.test_case "stale tmp removed on open" `Quick
+            test_stale_tmp_removed;
+          Alcotest.test_case "format pinned" `Quick test_format_pinned;
         ] );
       ( "engine",
         [

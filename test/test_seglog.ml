@@ -290,14 +290,40 @@ let prop_round_trip =
              ok)
            recs back)
 
-(* --- crc32 reference vectors --- *)
+(* --- on-disk format pin --- *)
 
-let test_crc32_vectors () =
-  (* IEEE 802.3 reflected CRC-32 check values *)
-  Alcotest.(check int) "crc32(\"\")" 0 (Seglog.crc32 "");
-  Alcotest.(check int)
-    "crc32(\"123456789\")" 0xCBF43926
-    (Seglog.crc32 "123456789")
+(* A fixed input written with small segments must leave exactly these
+   files: name, length and MD5 of the full bytes. The values were
+   captured from the format as first shipped (version 1); a change to
+   the header layout, record framing or rotation shows up here. *)
+let test_format_pinned () =
+  with_dir @@ fun dir ->
+  let config =
+    { Seglog.default_config with segment_bytes = 256; buffer_bytes = 64 }
+  in
+  let w = Seglog.create ~config ~dir () in
+  for i = 0 to 11 do
+    Seglog.append w ~stamp:(float_of_int i *. 0.5) ~delete:(i mod 4 = 0)
+      (tuple i)
+  done;
+  Seglog.close w;
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.map (fun f ->
+           let s =
+             In_channel.with_open_bin (Filename.concat dir f)
+               In_channel.input_all
+           in
+           (f, String.length s, Digest.to_hex (Digest.string s)))
+  in
+  Alcotest.(check (list (triple string int string)))
+    "segment files"
+    [
+      ("seg-00000001.p2sl", 293, "abf9ef0d0e26633a61a183ad86dab99d");
+      ("seg-00000002.p2sl", 293, "d9dde432ad186e6a2118c5abd1454759");
+      ("seg-00000003.p2sl", 295, "39e99a32e00f715f2bce01107e138fd7");
+    ]
+    files
 
 let () =
   Alcotest.run "seglog"
@@ -306,7 +332,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "time window" `Quick test_time_window;
-          Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
+          Alcotest.test_case "format pinned" `Quick test_format_pinned;
           QCheck_alcotest.to_alcotest prop_round_trip;
         ] );
       ( "rotation",
