@@ -35,26 +35,27 @@ type graph = { root : vertex; vertices : vertex list; edges : edge list }
 
 let tracer_of engine addr = P2_runtime.Node.tracer (P2_runtime.Engine.node engine addr)
 
-let rule_exec_rows engine addr =
-  Store.Table.tuples
-    (Dataflow.Tracer.rule_exec_table (tracer_of engine addr))
-    ~now:(P2_runtime.Engine.now engine)
+(* Both walk steps are index probes: O(matches) per step, and rows
+   come back in insertion order, so edges are listed in the order the
+   tracer recorded them. *)
 
-let tuple_table_rows engine addr =
-  Store.Table.tuples
-    (Dataflow.Tracer.tuple_table (tracer_of engine addr))
-    ~now:(P2_runtime.Engine.now engine)
+(* The ruleExec rows whose effect (position 4) is tuple [id]. *)
+let producing_rule_execs engine addr id =
+  Store.Table.probe
+    (Dataflow.Tracer.rule_exec_table (tracer_of engine addr))
+    ~now:(P2_runtime.Engine.now engine) ~positions:[ 4 ] ~values:[ Value.VInt id ]
 
 (* Where did tuple [id] at [addr] come from? Returns (src addr, src id)
-   when it crossed the network. *)
+   when it crossed the network. tupleTable is keyed on the id
+   (position 2), so there is at most one row. *)
 let provenance engine addr id =
-  tuple_table_rows engine addr
+  Store.Table.probe
+    (Dataflow.Tracer.tuple_table (tracer_of engine addr))
+    ~now:(P2_runtime.Engine.now engine) ~positions:[ 2 ] ~values:[ Value.VInt id ]
   |> List.find_map (fun row ->
-         if Value.as_int (Tuple.field row 2) = id then
-           let src = Value.as_addr (Tuple.field row 3) in
-           let src_id = Value.as_int (Tuple.field row 4) in
-           if src <> addr || src_id <> id then Some (src, src_id) else None
-         else None)
+         let src = Value.as_addr (Tuple.field row 3) in
+         let src_id = Value.as_int (Tuple.field row 4) in
+         if src <> addr || src_id <> id then Some (src, src_id) else None)
 
 let vertex engine node tuple_id =
   { node; tuple_id; contents = Dataflow.Tracer.resolve (tracer_of engine node) tuple_id }
@@ -91,17 +92,15 @@ let walk ?(max_depth = 64) engine ~addr ~tuple_id =
           (* locally derived: find the rule executions that produced it *)
           List.iter
             (fun row ->
-              if Value.as_int (Tuple.field row 4) = id then begin
-                let rule = Value.as_string (Tuple.field row 2) in
-                let cause_id = Value.as_int (Tuple.field row 3) in
-                let is_event = Value.as_bool (Tuple.field row 7) in
-                let u = vertex engine node cause_id in
-                edges :=
-                  { rule; is_event; cause = u; effect = v; crossed_network = false }
-                  :: !edges;
-                go (depth + 1) node cause_id
-              end)
-            (rule_exec_rows engine node))
+              let rule = Value.as_string (Tuple.field row 2) in
+              let cause_id = Value.as_int (Tuple.field row 3) in
+              let is_event = Value.as_bool (Tuple.field row 7) in
+              let u = vertex engine node cause_id in
+              edges :=
+                { rule; is_event; cause = u; effect = v; crossed_network = false }
+                :: !edges;
+              go (depth + 1) node cause_id)
+            (producing_rule_execs engine node id))
     end
   in
   go 0 addr tuple_id;

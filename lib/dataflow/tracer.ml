@@ -90,6 +90,7 @@ type t = {
   rule_exec : Store.Table.t;
   tuple_table : Store.Table.t;
   contents : (int, Tuple.t) Hashtbl.t;  (* tuple id -> memoized tuple *)
+  mutable contents_bytes : int;  (* sum of [Tuple.size_bytes] over [contents] *)
   refs : (int, int) Hashtbl.t;  (* tuple id -> ruleExec reference count *)
   charge : float -> unit;
   now : unit -> float;
@@ -103,6 +104,20 @@ type t = {
 (* Work-unit cost of one tap observation; this is where the paper's
    "execution logging increases CPU by 40%" overhead comes from. *)
 let tap_cost = Sim.Metrics.Cost.tracer_tap
+
+(* All writes to the contents memo go through these two, which keep
+   its running byte total. *)
+let memo_remove t id =
+  match Hashtbl.find_opt t.contents id with
+  | Some old ->
+      t.contents_bytes <- t.contents_bytes - Tuple.size_bytes old;
+      Hashtbl.remove t.contents id
+  | None -> ()
+
+let memo_add t id tuple =
+  memo_remove t id;
+  t.contents_bytes <- t.contents_bytes + Tuple.size_bytes tuple;
+  Hashtbl.replace t.contents id tuple
 
 let create ?(config = default_config) ~addr ~now ~charge () =
   let rule_exec =
@@ -121,6 +136,7 @@ let create ?(config = default_config) ~addr ~now ~charge () =
       rule_exec;
       tuple_table;
       contents = Hashtbl.create 256;
+      contents_bytes = 0;
       refs = Hashtbl.create 256;
       charge;
       now;
@@ -135,7 +151,9 @@ let create ?(config = default_config) ~addr ~now ~charge () =
     }
   in
   (* Reference counting: when a ruleExec row disappears (expiry,
-     eviction or deletion), unreference its cause and effect tuples. *)
+     eviction or deletion), unreference its cause and effect tuples.
+     tupleTable is keyed on the tuple id (position 2), so reclaiming
+     the last reference is one keyed delete. *)
   Store.Table.subscribe rule_exec (function
     | Store.Table.Delete row -> (
         match Tuple.fields row with
@@ -146,12 +164,10 @@ let create ?(config = default_config) ~addr ~now ~charge () =
                   match Hashtbl.find_opt t.refs id with
                   | Some n when n <= 1 ->
                       Hashtbl.remove t.refs id;
-                      Hashtbl.remove t.contents id;
-                      let _ =
-                        Store.Table.delete_where t.tuple_table ~now:(t.now ()) (fun tu ->
-                            Value.equal (Tuple.field tu 2) (Value.VInt id))
-                      in
-                      ()
+                      memo_remove t id;
+                      (* only the key field (position 2) is compared *)
+                      let key = Tuple.make "tupleTable" [ Value.VAddr t.addr; Value.VInt id ] in
+                      ignore (Store.Table.delete t.tuple_table ~now:(t.now ()) key)
                   | Some n -> Hashtbl.replace t.refs id (n - 1)
                   | None -> ())
               | _ -> ()
@@ -174,10 +190,14 @@ let tuple_table t = t.tuple_table
 (** Resolve a memoized tuple ID back to its contents (forensics API). *)
 let resolve t id = Hashtbl.find_opt t.contents id
 
+(* Read in this order (memo, tupleTable, then ruleExec), a sample
+   still counts the memo entries and tupleTable rows that its own
+   ruleExec expiry sweep goes on to reclaim. The memory figures of
+   seeded runs depend on this order; keep it. *)
 let live_bytes t ~now =
-  Store.Table.bytes t.rule_exec ~now
-  + Store.Table.bytes t.tuple_table ~now
-  + Hashtbl.fold (fun _ tu acc -> acc + Tuple.size_bytes tu) t.contents 0
+  let memo = t.contents_bytes in
+  let tuples = Store.Table.bytes t.tuple_table ~now in
+  Store.Table.bytes t.rule_exec ~now + tuples + memo
 
 let live_tuples t ~now =
   Store.Table.size t.rule_exec ~now + Store.Table.size t.tuple_table ~now
@@ -191,7 +211,7 @@ let register_tuple t tuple ~src ~src_id ~dst =
     Metrics.Counter.incr t.stats.taps;
     Metrics.Counter.incr t.stats.tuples_registered;
     let id = Tuple.id tuple in
-    Hashtbl.replace t.contents id tuple;
+    memo_add t id tuple;
     let row =
       Tuple.make "tupleTable"
         [ Value.VAddr t.addr; Value.VInt id; Value.VAddr src; Value.VInt src_id;
@@ -250,7 +270,7 @@ let restore t tuple =
   | "tupleTable" ->
       let _ = Store.Table.insert t.tuple_table ~now:(t.now ()) tuple in
       ()
-  | _ -> Hashtbl.replace t.contents (Tuple.id tuple) tuple
+  | _ -> memo_add t (Tuple.id tuple) tuple
 
 let state_for t ~rule ~join_count =
   match Hashtbl.find_opt t.rules rule with

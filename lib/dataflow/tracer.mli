@@ -68,12 +68,16 @@ val stats : t -> stats
     isEvent)] — queryable like any other table. *)
 val rule_exec_table : t -> Store.Table.t
 
-(** [tupleTable(localAddr, tupleID, srcAddr, srcTupleID, destAddr)]. *)
+(** [tupleTable(localAddr, tupleID, srcAddr, srcTupleID, destAddr)],
+    keyed on [tupleID]: reclaiming a tuple whose last [ruleExec]
+    reference went is one keyed delete, not a scan. *)
 val tuple_table : t -> Store.Table.t
 
 (** Resolve a memoized tuple id back to its contents (forensics). *)
 val resolve : t -> int -> Tuple.t option
 
+(** Bytes held by both tables and the contents memo; O(1) beyond the
+    expiry sweep, since every part keeps a running total. *)
 val live_bytes : t -> now:float -> int
 val live_tuples : t -> now:float -> int
 

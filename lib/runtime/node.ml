@@ -92,27 +92,29 @@ let eval_context t =
     local_addr = t.addr;
   }
 
-let scan t name =
+(* A catalog table, or one of the tracer's introspection tables, which
+   are queryable like any other (paper §2.1). *)
+let find_table t name =
   match Store.Catalog.find t.catalog name with
-  | Some table -> Store.Table.tuples table ~now:(t.now ())
+  | Some table -> Some table
   | None -> (
-      (* The tracer's introspection tables are queryable like any
-         other (paper §2.1). *)
       match name with
-      | "ruleExec" ->
-          Store.Table.tuples (Dataflow.Tracer.rule_exec_table t.tracer) ~now:(t.now ())
-      | "tupleTable" ->
-          Store.Table.tuples (Dataflow.Tracer.tuple_table t.tracer) ~now:(t.now ())
-      | _ -> [])
+      | "ruleExec" -> Some (Dataflow.Tracer.rule_exec_table t.tracer)
+      | "tupleTable" -> Some (Dataflow.Tracer.tuple_table t.tracer)
+      | _ -> None)
 
-(* Indexed access path for join stages with bound argument positions.
-   The tracer's introspection tables and unknown predicates fall back
-   to the plain scan — the machine re-verifies candidates, so a
-   superset is always safe. *)
+let scan t name =
+  match find_table t name with
+  | Some table -> Store.Table.tuples table ~now:(t.now ())
+  | None -> []
+
+(* Indexed access path for join stages with bound argument positions,
+   over catalog and tracer tables alike; an unknown predicate has no
+   rows either way. *)
 let probe t name ~positions ~values =
-  match Store.Catalog.find t.catalog name with
+  match find_table t name with
   | Some table -> Store.Table.probe table ~now:(t.now ()) ~positions ~values
-  | None -> scan t name
+  | None -> []
 
 let is_table t name =
   Store.Catalog.is_table t.catalog name || List.mem name system_tables
@@ -409,16 +411,7 @@ let install_strand t (s : Dataflow.Strand.t) =
   | Dataflow.Strand.Periodic { period; _ } -> t.on_timer_request { strand = s; period }
   | Dataflow.Strand.Table_delta atom -> (
       add_strand t.delta_strands atom.pred s;
-      let table =
-        match Store.Catalog.find t.catalog atom.pred with
-        | Some table -> Some table
-        | None -> (
-            match atom.pred with
-            | "ruleExec" -> Some (Dataflow.Tracer.rule_exec_table t.tracer)
-            | "tupleTable" -> Some (Dataflow.Tracer.tuple_table t.tracer)
-            | _ -> None)
-      in
-      match table with
+      match find_table t atom.pred with
       | None ->
           raise
             (Dataflow.Strand.Compile_error

@@ -37,7 +37,8 @@ val reflected_tables : string list
     ([ruleExec], [tupleTable]). Like {!reflected_tables} they are
     excluded from tracer registration, and the engine's checkpointer
     skips both groups: reflections and bookkeeping are derived state,
-    rebuilt by the restarted node rather than restored. *)
+    rebuilt by the restarted node rather than restored. OverLog joins
+    over them use the same index probes as catalog tables. *)
 val system_tables : string list
 
 val addr : t -> string

@@ -18,7 +18,9 @@
     they surface). Reads therefore cost O(expired now) instead of a full
     O(N) sweep, and the eviction victim is found in amortized O(log N).
     Expiry deltas fire in (insertion time, seq) order — deterministic
-    and independent of hash-table layout. *)
+    and independent of hash-table layout. The heap is rebuilt from the
+    live rows once stale entries outnumber them, and the byte total is
+    kept as a running sum, so neither grows nor costs with churn. *)
 
 open Overlog
 
@@ -66,33 +68,46 @@ module Heap = struct
 
   let peek h = if h.len = 0 then None else Some h.a.(0)
 
+  let sift_down h i =
+    let i = ref i in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.len && lt h.a.(l) h.a.(!smallest) then smallest := l;
+      if r < h.len && lt h.a.(r) h.a.(!smallest) then smallest := r;
+      if !smallest <> !i then begin
+        let tmp = h.a.(!smallest) in
+        h.a.(!smallest) <- h.a.(!i);
+        h.a.(!i) <- tmp;
+        i := !smallest
+      end
+      else continue := false
+    done
+
   let pop h =
     if h.len = 0 then ()
     else begin
       h.len <- h.len - 1;
       h.a.(0) <- h.a.(h.len);
       h.a.(h.len) <- dummy;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && lt h.a.(l) h.a.(!smallest) then smallest := l;
-        if r < h.len && lt h.a.(r) h.a.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.a.(!smallest) in
-          h.a.(!smallest) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done
+      sift_down h 0
     end
 
   let clear h =
     h.a <- Array.make 16 dummy;
     h.len <- 0
+
+  (* Replace the contents with [es], restoring the heap property
+     bottom-up in O(|es|). *)
+  let rebuild h es =
+    let n = List.length es in
+    h.a <- Array.make (max 16 (2 * n)) dummy;
+    List.iteri (fun i e -> h.a.(i) <- e) es;
+    h.len <- n;
+    for i = (n / 2) - 1 downto 0 do
+      sift_down h i
+    done
 end
 
 (* A secondary index over a set of 1-indexed field positions: probe
@@ -114,6 +129,7 @@ type t = {
   mutable subs_rev : (delta -> unit) list;  (* newest first *)
   mutable subs_arr : (delta -> unit) array option;  (* install order *)
   heap : Heap.t;
+  mutable bytes : int;  (** sum of [Tuple.size_bytes] over [rows] *)
   mutable indexes : index list;
   mutable insert_count : int;
   mutable delete_count : int;
@@ -133,6 +149,7 @@ let create ?(lifetime = infinity) ?max_size ?(keys = []) name =
     subs_rev = [];
     subs_arr = None;
     heap = Heap.create ();
+    bytes = 0;
     indexes = [];
     insert_count = 0;
     delete_count = 0;
@@ -205,21 +222,39 @@ let index_remove idx k row =
       if Hashtbl.length bucket = 0 then Hashtbl.remove idx.buckets bk
   | None -> ()
 
-(* Attach/detach keep rows, every index, and the age heap in sync; all
-   row addition/removal must go through them. *)
+(* Push the row's current stamp. Stale entries only leave the heap
+   when they surface at the minimum, so a table whose rows are
+   refreshed or replaced far more often than they expire or are
+   evicted (an immortal capped table never expires, and a single-key
+   one never evicts) would grow its heap without bound. Once stale
+   entries outnumber live rows, rebuild from the rows: one exact entry
+   each, so the minimum (and every later pop) is unchanged and the
+   amortized cost per push stays O(log N). *)
+let push_stamp t k row =
+  Heap.push t.heap { stamp = row.inserted_at; hseq = row.seq; hkey = k };
+  let live = Hashtbl.length t.rows in
+  if t.heap.len > (2 * live) + 16 then
+    Heap.rebuild t.heap
+      (Hashtbl.fold
+         (fun k row acc -> { stamp = row.inserted_at; hseq = row.seq; hkey = k } :: acc)
+         t.rows [])
+
+(* Attach/detach keep rows, every index, the age heap and the byte
+   total in sync; all row addition/removal must go through them. *)
 let attach t k row =
   Hashtbl.replace t.rows k row;
+  t.bytes <- t.bytes + Tuple.size_bytes row.tuple;
   List.iter (fun idx -> index_add idx k row) t.indexes;
-  if tracks_age t then
-    Heap.push t.heap { stamp = row.inserted_at; hseq = row.seq; hkey = k }
+  if tracks_age t then push_stamp t k row
 
 let detach t k row =
   Hashtbl.remove t.rows k;
+  t.bytes <- t.bytes - Tuple.size_bytes row.tuple;
   List.iter (fun idx -> index_remove idx k row) t.indexes
 
 let touch t k row ~now =
   row.inserted_at <- now;
-  if tracks_age t then Heap.push t.heap { stamp = now; hseq = row.seq; hkey = k }
+  if tracks_age t then push_stamp t k row
 
 (* The heap minimum, after lazily discarding entries whose row is gone
    or was refreshed since the entry was pushed. The surviving minimum
@@ -355,6 +390,7 @@ let mem t ~now tuple =
 
 let clear t =
   Hashtbl.reset t.rows;
+  t.bytes <- 0;
   List.iter (fun idx -> Hashtbl.reset idx.buckets) t.indexes;
   Heap.clear t.heap
 
@@ -396,8 +432,11 @@ let probe t ~now ~positions ~values =
         |> List.map (fun row -> row.tuple)
   end
 
+(* Expire first, exactly as a fold over the rows would, so sampling
+   the size fires the same expiry deltas at the same time. *)
 let bytes t ~now =
-  fold t ~now (fun acc tu -> acc + Tuple.size_bytes tu) 0
+  expire t ~now;
+  t.bytes
 
 type stats = {
   live : int;

@@ -5,8 +5,10 @@
 
     Time is always supplied by the caller (the simulation clock), so
     table behaviour is deterministic. Expiry is incremental (a
-    min-heap ordered by insertion time with lazy invalidation), so
-    reads cost O(rows expired since the last read), not O(N). *)
+    min-heap ordered by insertion time with lazy invalidation,
+    compacted once stale entries outnumber live rows), so reads cost
+    O(rows expired since the last read), not O(N), and memory stays
+    proportional to the live rows however often they are refreshed. *)
 
 open Overlog
 
@@ -44,7 +46,8 @@ val expire : t -> now:float -> unit
 val size : t -> now:float -> int
 val insert : t -> now:float -> Tuple.t -> insert_result
 
-(** Delete the row whose key and contents equal the given tuple's. *)
+(** Delete the row whose primary key equals the given tuple's; its
+    other fields are not compared. O(1) plus the expiry sweep. *)
 val delete : t -> now:float -> Tuple.t -> bool
 
 (** Delete all rows matching the predicate; removes and notifies in
@@ -71,6 +74,10 @@ val fold : t -> now:float -> ('a -> Tuple.t -> 'a) -> 'a -> 'a
 val iter : t -> now:float -> (Tuple.t -> unit) -> unit
 val mem : t -> now:float -> Tuple.t -> bool
 val clear : t -> unit
+
+(** Sum of [Tuple.size_bytes] over the live rows. The total is kept
+    up to date as rows come and go, so this costs only the expiry
+    sweep it runs first. *)
 val bytes : t -> now:float -> int
 
 type stats = {

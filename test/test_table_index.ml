@@ -7,8 +7,14 @@
      scan-and-match, whether the index was created before the churn
      (incremental maintenance) or after it (lazy backfill);
    - [Table.tuples] must stay in insertion order;
+   - [Table.bytes], a running total, must equal the sum of
+     [Tuple.size_bytes] over the live rows after every step;
    - the delta-subscription firing sequence (kinds, payloads and
-     subscriber order) must match the reference semantics exactly. *)
+     subscriber order) must match the reference semantics exactly.
+
+   Further cases pin the age heap's compaction: churn on a table that
+   never expires or evicts keeps its memory bounded, and the eviction
+   victim stays the exact oldest row. *)
 
 open Overlog
 open Store
@@ -124,6 +130,7 @@ type op =
   | DeleteWhere of int  (* parity of the payload field *)
   | Advance of float
   | Probe of int list * int * int
+  | Clear
 
 let probe_sets = [ [ 2 ]; [ 3 ]; [ 2; 3 ]; [ 1; 2 ] ]
 
@@ -148,6 +155,7 @@ let gen_ops =
                (fun (k, v) i -> Probe (List.nth probe_sets i, k, v))
                (pair (int_bound 6) (int_bound 4))
                (int_bound (List.length probe_sets - 1)) );
+           (1, return Clear);
          ]))
 
 let gen_case = QCheck.Gen.pair gen_config gen_ops
@@ -187,9 +195,19 @@ let run_case ~pre_index ((lifetime, cap, keyspec), ops) =
   let now = ref 0. in
   let ok = ref true in
   let check b = if not b then ok := false in
+  let sum_bytes = List.fold_left (fun acc tu -> acc + Tuple.size_bytes tu) 0 in
+  (* The running byte total against a recount of the live rows, and
+     both against the model. Reading expires, so the model expires at
+     the same instant to keep the delta logs aligned. *)
+  let check_bytes () =
+    let bytes = Table.bytes table ~now:!now in
+    mexpire model !now;
+    check (bytes = sum_bytes (Table.tuples table ~now:!now));
+    check (bytes = sum_bytes (List.map (fun r -> r.mtuple) model.rows))
+  in
   List.iter
     (fun op ->
-      match op with
+      (match op with
       | Insert (k, v) ->
           ignore (Table.insert table ~now:!now (mk_tuple k v));
           minsert model !now (mk_tuple k v)
@@ -207,7 +225,11 @@ let run_case ~pre_index ((lifetime, cap, keyspec), ops) =
             Table.probe table ~now:!now ~positions ~values
             |> List.map Tuple.to_string
           in
-          check (got = mprobe model !now positions values))
+          check (got = mprobe model !now positions values)
+      | Clear ->
+          Table.clear table;
+          model.rows <- []);
+      check_bytes ())
     ops;
   (* final state: live rows in insertion order, every probe pattern,
      and the complete delta firing sequence *)
@@ -274,6 +296,54 @@ let test_index_key_identity () =
   in
   Alcotest.(check int) "int probe finds id row" 1 (List.length got)
 
+(* An immortal single-key table never expires and never evicts, so
+   nothing pops its age heap: without compaction every refresh and
+   replace would leave one more stale entry behind. *)
+let test_heap_bounded () =
+  let table = Table.create ~max_size:1 ~keys:[ 1; 2 ] "t" in
+  let churn n =
+    for i = 1 to n do
+      (* v changes on every second insert: alternately a replace and a
+         refresh *)
+      ignore (Table.insert table ~now:(float_of_int i) (mk_tuple 1 (i / 2 mod 3)))
+    done
+  in
+  churn 1_000;
+  let words_small = Obj.reachable_words (Obj.repr table) in
+  churn 100_000;
+  let words = Obj.reachable_words (Obj.repr table) in
+  Alcotest.(check int) "one row" 1 (Table.size table ~now:1e6);
+  if words > 2 * words_small then
+    Alcotest.failf "table grew from %d to %d words under churn" words_small words
+
+(* Compaction rebuilds the heap from the rows; the eviction victim must
+   still be the exact (stamp, seq) minimum. *)
+let test_eviction_after_compaction () =
+  let table = Table.create ~max_size:3 ~keys:[ 1; 2 ] "t" in
+  let evicted = ref [] in
+  Table.subscribe table (function
+    | Table.Delete tu -> evicted := Value.as_int (Tuple.field tu 2) :: !evicted
+    | Table.Insert _ | Table.Refresh _ -> ());
+  let now = ref 0. in
+  let put k v =
+    now := !now +. 1.;
+    ignore (Table.insert table ~now:!now (mk_tuple k v))
+  in
+  put 0 0;
+  put 1 0;
+  put 2 0;
+  for i = 1 to 500 do
+    put (1 + (i mod 2)) (i mod 3)
+  done;
+  put 3 0;
+  Alcotest.(check (list int)) "never-refreshed row evicted" [ 0 ] !evicted;
+  (* rows 1 and 3 churn; 2 (last touched before 3 arrived) is oldest *)
+  for i = 1 to 500 do
+    put (if i mod 2 = 0 then 1 else 3) (i mod 3)
+  done;
+  put 4 0;
+  Alcotest.(check (list int)) "oldest survivor evicted next" [ 2; 0 ] !evicted
+
 let () =
   Alcotest.run "table_index"
     [
@@ -283,5 +353,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_lazy_index_equals_scan;
           Alcotest.test_case "index creation" `Quick test_index_created;
           Alcotest.test_case "index key identity" `Quick test_index_key_identity;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "bounded under churn" `Quick test_heap_bounded;
+          Alcotest.test_case "eviction after compaction" `Quick
+            test_eviction_after_compaction;
         ] );
     ]

@@ -1,5 +1,7 @@
 (* Tracer: ruleExec/tupleTable contents, causal links, reference
-   counting, and the pipelined record machinery of paper §2.1.2. *)
+   counting (whichever way a ruleExec row leaves), the running byte
+   totals behind [live_bytes], and the pipelined record machinery of
+   paper §2.1.2. *)
 
 open Overlog
 open Dataflow
@@ -140,6 +142,134 @@ let test_tuple_table_and_refcount () =
   Alcotest.(check bool) "contents reclaimed" true (Tracer.resolve tr 1 = None);
   Alcotest.(check bool) "contents reclaimed 2" true (Tracer.resolve tr 2 = None)
 
+(* One finished execution of a join-free rule: an event row
+   [cause -> effect]. *)
+let link tr ~cause ~effect =
+  Tracer.on_input tr ~rule:"r" ~join_count:0 ~tuple_id:cause;
+  Tracer.on_output tr ~rule:"r" ~join_count:0 ~tuple_id:effect;
+  Tracer.on_stage_complete tr ~rule:"r" ~join_count:0 ~stage:0
+
+let register tr id =
+  Tracer.register_tuple tr
+    (Tuple.make ~id "x" [ Value.VAddr "n"; Value.VInt id ])
+    ~src:"n" ~src_id:id ~dst:"n"
+
+(* Exactly the ids in [alive] keep their tupleTable row and memo entry. *)
+let check_alive tr ~now ~ids alive what =
+  List.iter
+    (fun id ->
+      let row =
+        Store.Table.probe (Tracer.tuple_table tr) ~now ~positions:[ 2 ]
+          ~values:[ Value.VInt id ]
+      in
+      let expect = List.mem id alive in
+      Alcotest.(check bool) (Fmt.str "%s: tupleTable row %d" what id) expect (row <> []);
+      Alcotest.(check bool)
+        (Fmt.str "%s: resolve %d" what id)
+        expect
+        (Tracer.resolve tr id <> None))
+    ids
+
+(* A ruleExec row can leave by deletion, by expiry or by eviction at
+   the cap; in each case a tupleTable row goes exactly when its last
+   reference does, and every other id stays. *)
+let test_reclaim_every_exit () =
+  let config =
+    { Tracer.default_config with
+      rule_exec_lifetime = 10.; rule_exec_cap = 3; tuple_table_lifetime = infinity }
+  in
+  let tr, now = mk_tracer ~config () in
+  let ids = List.init 8 (fun i -> i + 1) in
+  List.iter (register tr) ids;
+  let rule_exec = Tracer.rule_exec_table tr in
+  link tr ~cause:1 ~effect:2;
+  now := 1.;
+  link tr ~cause:1 ~effect:3;
+  check_alive tr ~now:!now ~ids ids "linked";
+  (* delete 1 -> 2: id 2 loses its only reference, id 1 keeps one *)
+  let row_1_2 =
+    List.find
+      (fun row -> Value.as_int (Tuple.field row 4) = 2)
+      (Store.Table.tuples rule_exec ~now:!now)
+  in
+  Alcotest.(check bool) "deleted" true (Store.Table.delete rule_exec ~now:!now row_1_2);
+  check_alive tr ~now:!now ~ids [ 1; 3; 4; 5; 6; 7; 8 ] "after delete";
+  (* expiry of 1 -> 3 (stamped t=1, lifetime 10) *)
+  now := 5.;
+  link tr ~cause:4 ~effect:5;
+  now := 11.5;
+  Alcotest.(check int) "one row left" 1 (Store.Table.size rule_exec ~now:!now);
+  check_alive tr ~now:!now ~ids [ 4; 5; 6; 7; 8 ] "after expiry";
+  (* eviction: the cap is 3, so a fourth row evicts 4 -> 5 *)
+  now := 12.;
+  link tr ~cause:6 ~effect:7;
+  link tr ~cause:6 ~effect:8;
+  check_alive tr ~now:!now ~ids [ 4; 5; 6; 7; 8 ] "at the cap";
+  now := 13.;
+  link tr ~cause:7 ~effect:8;
+  Alcotest.(check int) "cap holds" 3 (Store.Table.size rule_exec ~now:!now);
+  check_alive tr ~now:!now ~ids [ 6; 7; 8 ] "after eviction"
+
+(* [live_bytes] keeps running totals; recount everything from scratch
+   (both tables, plus the memo entries of every id ever seen). The
+   comparison runs on settled tables: [live_bytes] reads the memo
+   before its own expiry sweep can reclaim entries. *)
+let test_live_bytes_running_total () =
+  let config = { Tracer.default_config with rule_exec_cap = 4 } in
+  let tr, now = mk_tracer ~config () in
+  let ids = List.init 12 (fun i -> i + 1) in
+  let recount () =
+    let table t =
+      List.fold_left
+        (fun acc tu -> acc + Tuple.size_bytes tu)
+        0
+        (Store.Table.tuples t ~now:!now)
+    in
+    table (Tracer.rule_exec_table tr)
+    + table (Tracer.tuple_table tr)
+    + List.fold_left
+        (fun acc id ->
+          match Tracer.resolve tr id with
+          | Some tu -> acc + Tuple.size_bytes tu
+          | None -> acc)
+        0 ids
+  in
+  let check what =
+    Store.Table.expire (Tracer.rule_exec_table tr) ~now:!now;
+    Store.Table.expire (Tracer.tuple_table tr) ~now:!now;
+    Alcotest.(check int) what (recount ()) (Tracer.live_bytes tr ~now:!now)
+  in
+  List.iter (register tr) [ 1; 2; 3; 4; 5; 6 ];
+  check "registered";
+  (* re-registering an id replaces its memo entry *)
+  Tracer.register_tuple tr
+    (Tuple.make ~id:3 "longer" [ Value.VAddr "n"; Value.VStr "more bytes" ])
+    ~src:"n" ~src_id:3 ~dst:"n";
+  check "re-registered";
+  link tr ~cause:1 ~effect:2;
+  link tr ~cause:2 ~effect:3;
+  link tr ~cause:3 ~effect:4;
+  check "emitted";
+  now := 1.;
+  link tr ~cause:4 ~effect:5;
+  link tr ~cause:5 ~effect:6;
+  check "evicted and reclaimed";
+  (* replay path: contents, tupleTable rows and ruleExec rows *)
+  Tracer.restore tr (Tuple.make ~id:9 "y" [ Value.VAddr "n"; Value.VInt 9 ]);
+  Tracer.restore tr (Tuple.make ~id:10 "y" [ Value.VAddr "n"; Value.VInt 10 ]);
+  Tracer.restore tr
+    (Tuple.make "tupleTable"
+       [ Value.VAddr "n"; Value.VInt 9; Value.VAddr "m"; Value.VInt 90; Value.VAddr "n" ]);
+  Tracer.restore tr
+    (Tuple.make "ruleExec"
+       [ Value.VAddr "n"; Value.VStr "q"; Value.VInt 9; Value.VInt 10;
+         Value.VFloat 1.; Value.VFloat 1.; Value.VBool true ]);
+  Tracer.restore tr (Tuple.make ~id:10 "y" [ Value.VAddr "n"; Value.VStr "replaced" ]);
+  check "restored";
+  now := 1000.;
+  check "expired";
+  Alcotest.(check int) "nothing live" 0 (Tracer.live_bytes tr ~now:!now)
+
 let test_disabled_tracer_is_free () =
   let tr, _ = mk_tracer () in
   Tracer.disable tr;
@@ -250,6 +380,9 @@ let () =
       ( "tables",
         [
           Alcotest.test_case "tupleTable + refcount" `Quick test_tuple_table_and_refcount;
+          Alcotest.test_case "reclaim on every exit" `Quick test_reclaim_every_exit;
+          Alcotest.test_case "live bytes running total" `Quick
+            test_live_bytes_running_total;
           Alcotest.test_case "disabled is free" `Quick test_disabled_tracer_is_free;
           Alcotest.test_case "ground truth" `Quick test_ground_truth_matches;
         ] );
