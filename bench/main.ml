@@ -617,9 +617,9 @@ let bench_seminaive check =
    Rate is node-virtual-seconds simulated per wall second
    (N x horizon / wall); allocs/event is the [Gc.minor_words] delta
    over [Engine.events_handled] — the allocation budget of the tuple
-   hot path. Shard counts >= 1 are bit-for-bit deterministic, so their
-   message totals must agree exactly; the sequential loop (shards = 0)
-   is the allocation baseline. The [--check-scaling R] gate fails
+   hot path. Every shard count is bit-for-bit deterministic, so the
+   message totals must agree exactly; the 1-shard arm is the
+   allocation baseline. The [--check-scaling R] gate fails
    unless 4 shards reach at least R x the 1-shard rate — meaningful
    only on a multicore host (a single-core pool runs every shard job
    on the caller, so the gate would price pure barrier overhead). *)
@@ -631,7 +631,7 @@ let scaling_horizon = 60.
    barrier without giving up cross-shard-count determinism. *)
 let scaling_quantum = 0.05
 
-(* Allocation budget of the sequential hot path at the growth seed
+(* Allocation budget of the event-loop hot path at the growth seed
    (commit b004cbc), measured with this arm's exact workload before
    the match/probe/group-key rewrites — kept so the JSON carries the
    before/after pair for the allocs-per-event regression story. *)
@@ -648,8 +648,7 @@ let bench_scaling check =
     let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let engine = P2_runtime.Engine.create ~seed:1 () in
-    if shards > 0 then
-      P2_runtime.Engine.set_shards ~quantum:scaling_quantum engine shards;
+    P2_runtime.Engine.set_shards ~quantum:scaling_quantum engine shards;
     let net = Chord.boot engine scaling_nodes in
     P2_runtime.Engine.run_for engine scaling_horizon;
     let wall = Unix.gettimeofday () -. t0 in
@@ -682,8 +681,7 @@ let bench_scaling check =
       :: !pending_rows;
     (rate, allocs, msgs)
   in
-  let _, seq_allocs, _ = arm 0 in
-  let rate1, _, msgs1 = arm 1 in
+  let rate1, allocs1, msgs1 = arm 1 in
   let _, _, msgs2 = arm 2 in
   let rate4, _, msgs4 = arm 4 in
   if msgs1 <> msgs2 || msgs1 <> msgs4 then begin
@@ -696,10 +694,9 @@ let bench_scaling check =
   let speedup = rate4 /. Float.max 1e-9 rate1 in
   Fmt.pr "  pool workers: %d   shards=4 vs shards=1 speedup: x%.2f@."
     (P2_runtime.Pool.size ()) speedup;
-  if seed_allocs_per_event > 0. then
-    Fmt.pr "  allocs/event: %.1f (seed baseline %.1f, %+.1f%%)@." seq_allocs
-      seed_allocs_per_event
-      (100. *. (seq_allocs -. seed_allocs_per_event) /. seed_allocs_per_event);
+  Fmt.pr "  allocs/event: %.1f (seed baseline %.1f, %+.1f%%)@." allocs1
+    seed_allocs_per_event
+    (100. *. (allocs1 -. seed_allocs_per_event) /. seed_allocs_per_event);
   pending_rows :=
     ( "summary",
       Obj

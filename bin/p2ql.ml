@@ -313,21 +313,24 @@ let naive_arg =
           "Naive evaluation ablation: re-enumerate full rule bodies on every \
            table delta and ship every re-derivation unbatched")
 
-(* Execution-engine selection (PR-7): 0 keeps the classic sequential
-   event loop; N >= 1 runs the multicore round/barrier loop with node
-   ids hashed onto N shards. Any N >= 1 reproduces the same seeded
-   simulation bit-for-bit. *)
+(* Shard count of the round/barrier event loop: node ids are hashed
+   onto N shards, and every N reproduces the same seeded simulation
+   bit-for-bit. *)
 let shards_arg =
+  let count =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error ("shard count must be >= 1, got " ^ s)),
+        Fmt.int )
+  in
   Arg.(
-    value & opt int 0
+    value & opt count 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition nodes onto $(docv) shards, each drained on its own \
-           domain between deterministic tick barriers; 0 (default) is the \
-           sequential event loop")
-
-let apply_shards engine shards =
-  if shards > 0 then P2_runtime.Engine.set_shards engine shards
+           domain between deterministic tick barriers")
 
 (* The sanitizer only ever turns on here: engines may already start
    sanitized via P2QL_SANITIZE=1, and the flag's absence must not
@@ -427,7 +430,7 @@ let run_cmd =
       trace_log checkpoint checkpoint_interval watches dump =
     let engine = P2_runtime.Engine.create ~seed ~trace () in
     apply_eval_mode engine ~seminaive ~naive;
-    apply_shards engine shards;
+    P2_runtime.Engine.set_shards engine shards;
     apply_sanitize engine sanitize;
     apply_trace_log engine trace_log;
     apply_checkpoint engine checkpoint checkpoint_interval;
@@ -528,7 +531,7 @@ let chord_cmd =
     let trace = trace || dot <> None in
     let lookups = if dot <> None then max 1 lookups else lookups in
     let engine = P2_runtime.Engine.create ~seed ~trace () in
-    apply_shards engine shards;
+    P2_runtime.Engine.set_shards engine shards;
     apply_sanitize engine sanitize;
     apply_trace_log engine trace_log;
     apply_checkpoint engine checkpoint checkpoint_interval;

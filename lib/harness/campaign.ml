@@ -30,7 +30,7 @@ let default_config =
     loss_rate = 0.;
     reliable = true;
     seminaive = true;
-    shards = 0;
+    shards = 1;
     sanitize = false;
     trace_log = None;
     extended_faults = false;
@@ -76,7 +76,7 @@ let run_plan cfg ~seed ?(intensity = 0) ?after_settle ?on_done (plan : Fault_pla
     Engine.create ~seed ~loss_rate:cfg.loss_rate ~reliable:cfg.reliable ()
   in
   Engine.set_seminaive engine cfg.seminaive;
-  if cfg.shards > 0 then Engine.set_shards engine cfg.shards;
+  Engine.set_shards engine cfg.shards;
   (* only ever turn the sanitizer ON: engines may already start
      sanitized via P2QL_SANITIZE *)
   if cfg.sanitize then Engine.set_sanitize engine true;

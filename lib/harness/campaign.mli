@@ -25,9 +25,8 @@ type config = {
           (default) or the naive re-enumeration ablation
           ([Engine.set_seminaive false]) *)
   shards : int;
-      (** execution engine: 0 (default) the sequential event loop,
-          [n >= 1] the multicore round/barrier loop on [n] shards
-          ([Engine.set_shards]) — every [n >= 1] yields the same
+      (** shard count of the round/barrier event loop (default 1;
+          [Engine.set_shards]) — every count yields the same
           bit-for-bit verdicts *)
   sanitize : bool;
       (** effect-discipline sanitizer ([Engine.set_sanitize]): direct

@@ -36,11 +36,11 @@ let crash_delay = 5.
 let restart_delay = 11.
 let heal_delay = 8.
 
-let measure ?(nodes = 21) ?(seed = 11) ?(shards = 0) ?(sanitize = false)
+let measure ?(nodes = 21) ?(seed = 11) ?(shards = 1) ?(sanitize = false)
     ?(settle = 120.) ?(probe_period = 1.) ?(stable_for = 3) ?(deadline = 400.)
     ?(checkpoint_interval = 10.) ~dir arm =
   let engine = Engine.create ~seed () in
-  if shards > 0 then Engine.set_shards engine shards;
+  Engine.set_shards engine shards;
   if sanitize then Engine.set_sanitize engine true;
   (match arm with
   | Checkpointed ->

@@ -19,32 +19,35 @@ type event =
   | Sample of { addr : string; inc : int }
   | Callback of (unit -> unit)
       (* host-scheduled ([Engine.at]): may touch any node or the
-         network tables, so in sharded mode it runs alone, sequentially,
+         network tables, so it runs alone, on the calling domain,
          between rounds *)
   | Owned_callback of { owner : string; f : unit -> unit }
       (* transport-scheduled (retransmit, delayed ack, batching flush,
-         heartbeat): confined to one node's state, so a sharded run may
-         execute it inside [owner]'s shard *)
+         heartbeat): confined to one node's state, so it runs inside
+         [owner]'s shard *)
 
-(* Every event handled during a parallel round defers its cross-cutting
-   effects — network sends, event scheduling, in-flight accounting —
-   into its shard's log instead of applying them. The barrier replays
-   all logs sorted by (causing event's queue seq, per-event effect
-   index): a total order that depends only on the event queue contents,
-   never on the shard count or on worker timing, which is what makes
-   seeded sharded runs reproduce bit-for-bit (DESIGN.md §13). *)
+(* Every event handled during a round defers its cross-cutting effects
+   — network sends and event scheduling — into its shard's log instead
+   of applying them. Each effect is tagged with its causing event's
+   position in the round's pop order, so every log is already sorted
+   and the barrier merges them: a total order that depends only on the
+   event queue contents, never on the shard count or on worker timing,
+   which is what makes seeded runs reproduce bit-for-bit at every shard
+   count (DESIGN.md §13). *)
 type effect_ =
   | Eff_send of { src : string; dst : string; at : float; packet : string }
   | Eff_schedule of { at : float; ev : event }
-  | Eff_inflight of { src : string; dst : string; d : int }
 
 type shard = {
-  mutable log : (int * int * effect_) list;  (* (event seq, idx, eff), newest first *)
-  mutable cur_seq : int;   (* queue seq of the event being handled *)
-  mutable cur_idx : int;   (* per-event effect counter *)
-  mutable snow : float;    (* virtual now seen by this shard's nodes mid-round *)
+  mutable log : (int * effect_) list;  (* (pop position, eff), newest first *)
+  mutable time : float;    (* virtual time of the event being handled *)
+  mutable pos : int;       (* its position in the round's pop order *)
+  mutable seq : int;       (* its queue seq, for the sanitizer *)
   mutable handled : int;   (* events handled by this shard *)
-  mutable busy_ns : float; (* wall time spent executing events *)
+  mutable round_ns : float; (* wall time spent executing this round's events *)
+  mutable busy_ns : float;  (* ... and over all rounds *)
+  mutable wait_ns : float;
+      (* wall time spent waiting at barriers for the round's slowest shard *)
 }
 
 (** Raised (with the sanitizer on) when code running inside a shard
@@ -64,19 +67,23 @@ let () =
              site seq)
     | _ -> None)
 
-(* The queue seq of the event the current domain is draining; -1
-   outside a drain. Domain-local so concurrent shards don't race. *)
-let draining_seq = Domain.DLS.new_key (fun () -> ref (-1))
+let fresh_shard () =
+  { log = []; time = 0.; pos = 0; seq = -1; handled = 0; round_ns = 0.; busy_ns = 0.;
+    wait_ns = 0. }
+
+(* The shard the current domain drains inside a round. Domain-local so
+   concurrent shards don't race; code running for a node always runs
+   in that node's shard. *)
+let draining = Domain.DLS.new_key (fun () -> ref (fresh_shard ()))
 
 type sharding = {
   n : int;
   quantum : float;
       (* width of the tick window: owned events within [t0, t0+quantum]
-         form one parallel round *)
+         form one round *)
   shards : shard array;
   mutable in_round : bool;
-  mutable rounds : int;
-  mutable parallel_ns : float;  (* wall time across all parallel phases *)
+  mutable slowest_ns : float;  (* sum over rounds of the slowest shard's time *)
 }
 
 type t = {
@@ -107,10 +114,9 @@ type t = {
   mutable batching : bool;
       (* cross-node delta batching for every transport, present and
          future; enabled together with semi-naive via set_seminaive *)
-  mutable sharding : sharding option;
-      (* None: the classic sequential loop. Some: the tick-window
-         round/barrier loop, with node-owned events fanned out over
-         [Pool] domains *)
+  mutable sharding : sharding;
+      (* the tick-window round/barrier loop, with node-owned events
+         fanned out over [Pool] domains *)
   mutable sanitize : bool;
       (* effect-discipline sanitizer: raise [Discipline_violation] on
          direct mutation of barrier-owned state during a shard drain *)
@@ -136,11 +142,16 @@ type t = {
       (* host-registered watchpoints per address, newest first;
          re-attached after a restart so observers survive the crash *)
   mutable seq_handled : int;
-      (* events handled outside any shard (sequential mode + host
-         callbacks) *)
+      (* events handled outside the current shards: host callbacks
+         between rounds, plus everything the shards replaced by the
+         last [set_shards] had handled *)
 }
 
 and installed = Src_text of string | Src_ast of Ast.program
+
+let sharding ~quantum n =
+  { n; quantum; shards = Array.init n (fun _ -> fresh_shard ()); in_round = false;
+    slowest_ns = 0. }
 
 let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.)
     ?(sample_interval = 1.0) ?(trace = false) ?(strict_install = false)
@@ -161,7 +172,7 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     reliable;
     seminaive = true;
     batching = false;
-    sharding = None;
+    sharding = sharding ~quantum:0.01 1;
     sanitize =
       (match Sys.getenv_opt "P2QL_SANITIZE" with
       | Some ("1" | "true" | "yes") -> true
@@ -176,7 +187,11 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     seq_handled = 0;
   }
 
-let now t = t.clock
+(* Inside a round the engine clock still reads the last barrier: code
+   running for a node sees the time of the event it is handling. *)
+let now t =
+  if t.sharding.in_round then !(Domain.DLS.get draining).time else t.clock
+
 let network t = t.network
 
 let incarnation t addr =
@@ -210,11 +225,8 @@ let addrs t =
    before reaching the guarded sites, so a raise here always means a
    bypass: state that belongs to the barrier was touched mid-drain. *)
 let guard t site =
-  if t.sanitize then
-    match t.sharding with
-    | Some s when s.in_round ->
-        raise (Discipline_violation { site; seq = !(Domain.DLS.get draining_seq) })
-    | _ -> ()
+  if t.sanitize && t.sharding.in_round then
+    raise (Discipline_violation { site; seq = !(Domain.DLS.get draining).seq })
 
 (** Flip the effect-discipline sanitizer (also on via [P2QL_SANITIZE=1]
     in the environment). Purely a checking layer: runs are bit-for-bit
@@ -232,33 +244,30 @@ let at t ~time f = schedule t ~at:time (Callback f)
 
 (* --- Sharding plumbing --- *)
 
-let shard_ix s addr = Hashtbl.hash addr mod s.n
+(* One shard needs no hash: a node reads its shard's clock on every
+   table access. *)
+let shard_ix s addr = if s.n = 1 then 0 else Hashtbl.hash addr mod s.n
 
-(* The virtual clock as seen from code running on behalf of [addr]:
-   inside a parallel round each shard tracks the time of the event it
-   is currently handling (the global clock only advances at the
-   barrier). *)
+(* [now] for [addr]'s own code, without the domain-local lookup. *)
 let now_for t addr =
-  match t.sharding with
-  | Some s when s.in_round -> s.shards.(shard_ix s addr).snow
-  | _ -> t.clock
+  let s = t.sharding in
+  if s.in_round then s.shards.(shard_ix s addr).time else t.clock
 
-(* Append an effect to [addr]'s shard log, tagged with the causing
-   event's queue seq and a per-event counter. Only [addr]'s own shard
-   ever executes [addr]'s code, so the log is single-writer. *)
-let defer t addr eff =
-  match t.sharding with
-  | Some s when s.in_round ->
-      let sh = s.shards.(shard_ix s addr) in
-      sh.log <- (sh.cur_seq, sh.cur_idx, eff) :: sh.log;
-      sh.cur_idx <- sh.cur_idx + 1;
-      true
-  | _ -> false
+(* Inside a round, append an effect to the draining shard's log, tagged
+   with the causing event's pop position; only that shard's domain
+   writes its log. Returns whether the effect was deferred. *)
+let defer t eff =
+  let in_round = t.sharding.in_round in
+  if in_round then begin
+    let sh = !(Domain.DLS.get draining) in
+    sh.log <- (sh.pos, eff) :: sh.log
+  end;
+  in_round
 
-(* Schedule on behalf of [owner]: deferred to the barrier inside a
-   parallel round, immediate otherwise. *)
-let sched_owned t owner ~at ev =
-  if not (defer t owner (Eff_schedule { at; ev })) then schedule t ~at ev
+(* Schedule from node code: deferred to the barrier inside a round,
+   immediate otherwise. *)
+let sched_owned t ~at ev =
+  if not (defer t (Eff_schedule { at; ev })) then schedule t ~at ev
 
 let inflight_add t ~src ~dst d =
   guard t "Engine.inflight_add";
@@ -279,9 +288,9 @@ let inflight_from t src =
 
 (* Below the transport: decide the packet's fate and queue delivery.
    Drops are final here — retransmission lives in [Transport]. [now] is
-   the virtual time of the send (the causing event's time in sharded
-   mode, where this only runs at the barrier: the network RNG and the
-   per-channel FIFO floor are shared state). *)
+   the virtual time of the send (the causing event's time when replayed
+   at the barrier: the network RNG and the per-channel FIFO floor are
+   shared state). *)
 let raw_send_now t ~now ~src ~dst packet =
   guard t "Engine.raw_send_now";
   match Sim.Network.send t.network ~now ~src ~dst with
@@ -291,7 +300,7 @@ let raw_send_now t ~now ~src ~dst packet =
       schedule t ~at:when_ (Deliver { dst; inc = incarnation t dst; src; packet })
 
 let raw_send t ~src ~dst packet =
-  if not (defer t src (Eff_send { src; dst; at = now_for t src; packet })) then
+  if not (defer t (Eff_send { src; dst; at = now_for t src; packet })) then
     raw_send_now t ~now:t.clock ~src ~dst packet
 
 let transport t addr =
@@ -400,8 +409,7 @@ let wire_node ?tracer_config ?trace t addr =
       ~schedule:(fun delay f ->
         (* Transport timers only touch this node's state, so they may
            run inside its shard. *)
-        sched_owned t addr
-          ~at:(now_for t addr +. delay)
+        sched_owned t ~at:(now_for t addr +. delay)
           (Owned_callback { owner = addr; f }))
       ~raw_send:(fun ~dst packet -> raw_send t ~src:addr ~dst packet)
       ~active:(fun () -> not (Sim.Network.is_crashed t.network addr))
@@ -419,11 +427,11 @@ let wire_node ?tracer_config ?trace t addr =
   Node.set_timer_handler node (fun req ->
       (* Stagger first firings deterministically to avoid a thundering
          herd of simultaneous timers. Installs are host-driven (direct
-         calls or [Engine.at] callbacks, both sequential), so drawing
+         calls or [Engine.at] callbacks, both between rounds), so drawing
          from the engine RNG here is deterministic even when sharded. *)
       guard t "Engine.rng (timer stagger)";
       let offset = Sim.Rng.float t.rng *. req.period in
-      sched_owned t addr ~at:(t.clock +. offset)
+      sched_owned t ~at:(t.clock +. offset)
         (Timer { addr; inc = incarnation t addr; req }));
   (* The send queue lives in the engine, so its depth gauge is wired
      here rather than in [Node.create] with the rest of the registry. *)
@@ -431,21 +439,17 @@ let wire_node ?tracer_config ?trace t addr =
       float_of_int (inflight_from t addr));
   (* Shard-occupancy gauges: reflected into p2Stats like every other
      registry metric, so the watchdog can alarm on shard imbalance.
-     In sequential mode the single implicit shard reads fully busy. *)
+     One shard is its own slowest, so it reads exactly 100% busy and 0
+     wait. *)
+  let own () = t.sharding.shards.(shard_ix t.sharding addr) in
   Metrics.register (Node.registry node) "engine.shards" Metrics.KGauge (fun () ->
-      match t.sharding with Some s -> float_of_int s.n | None -> 0.);
+      float_of_int t.sharding.n);
   Metrics.register (Node.registry node) "engine.shard_busy_pct" Metrics.KGauge
     (fun () ->
-      match t.sharding with
-      | Some s when s.parallel_ns > 0. ->
-          100. *. s.shards.(shard_ix s addr).busy_ns /. s.parallel_ns
-      | _ -> 100.);
+      let s = t.sharding in
+      if s.slowest_ns > 0. then 100. *. (own ()).busy_ns /. s.slowest_ns else 100.);
   Metrics.register (Node.registry node) "engine.barrier_wait_ns" Metrics.KGauge
-    (fun () ->
-      match t.sharding with
-      | Some s ->
-          Float.max 0. (s.parallel_ns -. s.shards.(shard_ix s addr).busy_ns)
-      | None -> 0.);
+    (fun () -> (own ()).wait_ns);
   Transport.register_metrics tr (Node.registry node);
   (* ckpt.*: durable-checkpoint counters. Like trace.log.* they are
      registered unconditionally (the metric-documentation contract
@@ -567,8 +571,8 @@ let hard_state node ~now =
            | _ -> None)
 
 (** Snapshot every live node's hard state right now. Runs in host
-    context only (direct call or an [Engine.at] callback — in sharded
-    mode those execute alone between rounds), so the write is
+    context only (direct call or an [Engine.at] callback — those
+    execute alone between rounds), so the write is
     single-threaded and the file bytes are deterministic. Crashed
     nodes are skipped: a dead machine writes nothing to its disk. *)
 let checkpoint_now t =
@@ -626,17 +630,16 @@ let close_checkpoints t =
   t.checkpoint <- None;
   t.ckpt_armed <- false
 
-(* Handle one event. Safe both sequentially and inside a parallel
-   round: every handler resolves the clock through [now_for] and routes
-   cross-cutting effects through [sched_owned]/[raw_send], which defer
-   to the barrier when a round is active. During a round, shared engine
-   state is only ever *read* (nodes, transports, crash tables,
-   in-flight counters) — all writes are deferred effects. *)
+(* Handle one event: inside its owner's shard during a round, or alone
+   between rounds for a host callback. Every handler resolves the clock
+   through [now_for] and routes cross-cutting effects through
+   [sched_owned]/[raw_send], which defer to the barrier when a round is
+   active. During a round, shared engine state is only ever *read*
+   (nodes, transports, crash tables) — all writes are deferred
+   effects. *)
 let handle t event =
   match event with
   | Deliver { dst; inc; src; packet } -> (
-      if not (defer t dst (Eff_inflight { src; dst; d = -1 })) then
-        inflight_add t ~src ~dst (-1);
       (* A packet launched toward an earlier incarnation dies here:
          after a restart both sides renegotiate from sequence 1, and a
          stale frame would otherwise alias into the fresh channel. *)
@@ -652,33 +655,61 @@ let handle t event =
       match node_opt t addr with
       | Some node when inc = incarnation t addr ->
           if not (Sim.Network.is_crashed t.network addr) then Node.fire_periodic node req;
-          sched_owned t addr ~at:(now_for t addr +. req.period) (Timer { addr; inc; req })
+          sched_owned t ~at:(now_for t addr +. req.period) (Timer { addr; inc; req })
       | _ -> ())
   | Sample { addr; inc } -> (
       match node_opt t addr with
       | Some node when inc = incarnation t addr ->
           Sim.Metrics.sample (Node.metrics node) ~now:(now_for t addr)
             ~live_tuples:(Node.live_tuples node) ~live_bytes:(Node.live_bytes node);
-          sched_owned t addr ~at:(now_for t addr +. t.sample_interval)
+          sched_owned t ~at:(now_for t addr +. t.sample_interval)
             (Sample { addr; inc })
       | _ -> ())
   | Callback f -> f ()
   | Owned_callback { f; _ } -> f ()
 
 let owner_of = function
-  | Deliver { dst; _ } -> Some dst
-  | Timer { addr; _ } -> Some addr
-  | Sample { addr; _ } -> Some addr
-  | Owned_callback { owner; _ } -> Some owner
-  | Callback _ -> None
+  | Deliver { dst; _ } -> dst
+  | Timer { addr; _ } | Sample { addr; _ } -> addr
+  | Owned_callback { owner; _ } -> owner
+  | Callback _ -> invalid_arg "Engine.owner_of: host callback"
 
-(* One parallel round: each shard handles its window slice in queue
-   order, deferring effects; the barrier then replays all logs in
-   (event seq, effect idx) order — a total order fixed by the queue
-   contents alone, so new queue seqs and network RNG draws happen
-   identically for every shard count. *)
+let apply t = function
+  | Eff_send { src; dst; at; packet } -> raw_send_now t ~now:at ~src ~dst packet
+  | Eff_schedule { at; ev } -> schedule t ~at ev
+
+(* Replay the round's effects in pop order. Every shard log is sorted
+   by pop position (newest first) and no position is in two logs, so
+   an n-way merge of the reversed logs needs no sort; one shard's log
+   is just reversed. *)
+let replay t s =
+  let logs =
+    Array.map
+      (fun sh ->
+        let l = List.rev sh.log in
+        sh.log <- [];
+        l)
+      s.shards
+  in
+  let head i = match logs.(i) with (pos, _) :: _ -> pos | [] -> max_int in
+  let rec merge () =
+    let best = ref 0 in
+    for i = 1 to s.n - 1 do
+      if head i < head !best then best := i
+    done;
+    match logs.(!best) with
+    | (_, eff) :: rest ->
+        logs.(!best) <- rest;
+        apply t eff;
+        merge ()
+    | [] -> ()
+  in
+  merge ()
+
+(* One round: each shard handles its window slice in pop order,
+   deferring effects; the barrier then charges each shard its wait for
+   the round's slowest shard and replays the effects. *)
 let run_round t s buckets =
-  let round_t0 = Unix.gettimeofday () in
   s.in_round <- true;
   let jobs =
     Array.mapi
@@ -687,53 +718,42 @@ let run_round t s buckets =
         let sh = s.shards.(ix) in
         fun () ->
           let t0 = Unix.gettimeofday () in
+          Domain.DLS.get draining := sh;
           List.iter
-            (fun (time, seq, ev) ->
-              sh.snow <- time;
-              sh.cur_seq <- seq;
-              sh.cur_idx <- 0;
+            (fun (time, seq, pos, ev) ->
+              sh.time <- time;
+              sh.pos <- pos;
+              sh.seq <- seq;
               sh.handled <- sh.handled + 1;
-              if t.sanitize then Domain.DLS.get draining_seq := seq;
               handle t ev)
             evs;
-          if t.sanitize then Domain.DLS.get draining_seq := -1;
-          sh.busy_ns <- sh.busy_ns +. ((Unix.gettimeofday () -. t0) *. 1e9))
+          sh.round_ns <- (Unix.gettimeofday () -. t0) *. 1e9)
       buckets
   in
   Fun.protect
     ~finally:(fun () -> s.in_round <- false)
     (fun () -> Pool.run jobs);
-  s.rounds <- s.rounds + 1;
-  s.parallel_ns <- s.parallel_ns +. ((Unix.gettimeofday () -. round_t0) *. 1e9);
-  let effs =
-    Array.fold_left
-      (fun acc sh ->
-        let l = sh.log in
-        sh.log <- [];
-        List.rev_append l acc)
-      [] s.shards
+  let slowest =
+    Array.fold_left (fun m sh -> Float.max m sh.round_ns) s.shards.(0).round_ns
+      s.shards
   in
-  let effs =
-    List.sort
-      (fun (s1, i1, _) (s2, i2, _) ->
-        if s1 <> s2 then Int.compare s1 s2 else Int.compare i1 i2)
-      effs
-  in
-  List.iter
-    (fun (_, _, eff) ->
-      match eff with
-      | Eff_send { src; dst; at; packet } -> raw_send_now t ~now:at ~src ~dst packet
-      | Eff_schedule { at; ev } -> schedule t ~at ev
-      | Eff_inflight { src; dst; d } -> inflight_add t ~src ~dst d)
-    effs
+  s.slowest_ns <- s.slowest_ns +. slowest;
+  Array.iter
+    (fun sh ->
+      sh.busy_ns <- sh.busy_ns +. sh.round_ns;
+      sh.wait_ns <- sh.wait_ns +. (slowest -. sh.round_ns))
+    s.shards;
+  replay t s
 
-let run_until_sharded t s until =
+(** Run the simulation until the clock reaches [until]. *)
+let run_until t until =
+  let s = t.sharding in
   let buckets = Array.make s.n [] in
   let rec go () =
     match Sim.Event_queue.peek t.queue with
     | None -> t.clock <- until
     | Some (time, _) when time > until -> t.clock <- until
-    | Some (time, ev) when owner_of ev = None ->
+    | Some (time, Callback _) ->
         (* Host callback: may mutate anything (fault injection,
            installs, p2Stats reflection), so it runs alone between
            rounds, with immediate effects. *)
@@ -747,15 +767,22 @@ let run_until_sharded t s until =
     | Some (t0, _) ->
         let horizon = Float.min until (t0 +. s.quantum) in
         Array.fill buckets 0 s.n [];
-        let wmax = ref t0 in
+        let wmax = ref t0 and pos = ref 0 in
         let rec collect () =
           match Sim.Event_queue.peek t.queue with
-          | Some (time, ev) when time <= horizon && owner_of ev <> None -> (
+          | Some (_, Callback _) -> ()
+          | Some (time, _) when time <= horizon -> (
               match Sim.Event_queue.pop_entry t.queue with
               | Some (time, seq, ev) ->
-                  let owner = Option.get (owner_of ev) in
-                  let ix = shard_ix s owner in
-                  buckets.(ix) <- (time, seq, ev) :: buckets.(ix);
+                  (* A delivery leaves the network when it is popped.
+                     Only host code reads the in-flight counts, and it
+                     runs between rounds. *)
+                  (match ev with
+                  | Deliver { src; dst; _ } -> inflight_add t ~src ~dst (-1)
+                  | _ -> ());
+                  let ix = shard_ix s (owner_of ev) in
+                  buckets.(ix) <- (time, seq, !pos, ev) :: buckets.(ix);
+                  incr pos;
                   wmax := Float.max !wmax time;
                   collect ()
               | None -> ())
@@ -770,36 +797,16 @@ let run_until_sharded t s until =
         t.clock <- Float.max t.clock !wmax;
         go ()
   in
-  go ()
-
-(** Run the simulation until the clock reaches [until]. *)
-let run_until t until =
-  (match t.sharding with
-  | Some s -> run_until_sharded t s until
-  | None ->
-      let rec go () =
-        match Sim.Event_queue.peek t.queue with
-        | Some (time, _) when time <= until ->
-            (match Sim.Event_queue.pop t.queue with
-            | Some (time, event) ->
-                t.clock <- Float.max t.clock time;
-                t.seq_handled <- t.seq_handled + 1;
-                handle t event
-            | None -> ());
-            go ()
-        | _ -> t.clock <- until
-      in
-      go ());
-  (* The sequential loop has no barriers: buffered trace records are
-     bounded by the writer's high-water mark in between and land here. *)
+  go ();
+  (* Records buffered by host callbacks after the last round. *)
   flush_trace_logs t
 
 let run_for t seconds = run_until t (t.clock +. seconds)
 
 (** Schedule a callback confined to [owner]'s state at an absolute
     simulation time. Unlike [Engine.at] — whose callbacks run alone
-    between rounds — a sharded run executes this inside [owner]'s
-    shard during the parallel phase, under the effect discipline. *)
+    between rounds — this runs inside [owner]'s shard during a round,
+    under the effect discipline. *)
 let at_owned t ~owner ~time f =
   schedule t ~at:time (Owned_callback { owner; f })
 
@@ -812,42 +819,27 @@ let unsafe_direct_send t ~src ~dst packet =
 
 (* --- Shard control --- *)
 
-let fresh_shard () =
-  { log = []; cur_seq = 0; cur_idx = 0; snow = 0.; handled = 0; busy_ns = 0. }
-
-(** Select the execution engine. [n = 0] restores the classic
-    sequential loop. [n >= 1] switches to the deterministic
-    round/barrier loop with [n] shards: node addresses are hashed onto
-    shards, and every shard count — including 1 — produces bit-for-bit
-    identical simulations for a given seed, because all cross-shard
-    effects replay in a canonical order at tick barriers. [quantum] is
-    the tick-window width in virtual seconds (default: the network's
-    default base latency, 10 ms). *)
+(** Set the number of shards the round/barrier loop fans node-owned
+    events over (every engine starts with 1). Node addresses are hashed
+    onto shards, and every shard count produces bit-for-bit identical
+    simulations for a given seed, because all cross-shard effects
+    replay in pop order at tick barriers. [quantum] is the tick-window
+    width in virtual seconds (default: the network's default base
+    latency, 10 ms). *)
 let set_shards ?(quantum = 0.01) t n =
-  if n < 0 then invalid_arg "Engine.set_shards: negative shard count";
-  if n = 0 then t.sharding <- None
-  else
-    t.sharding <-
-      Some
-        {
-          n;
-          quantum;
-          shards = Array.init n (fun _ -> fresh_shard ());
-          in_round = false;
-          rounds = 0;
-          parallel_ns = 0.;
-        }
+  if n < 1 then
+    invalid_arg (Fmt.str "Engine.set_shards: shard count must be >= 1, got %d" n);
+  (* the replaced shards' event counts live on in [seq_handled] *)
+  t.seq_handled <-
+    Array.fold_left (fun acc sh -> acc + sh.handled) t.seq_handled t.sharding.shards;
+  t.sharding <- sharding ~quantum n
 
-let shards t = match t.sharding with Some s -> s.n | None -> 0
+let shards t = t.sharding.n
 
-(** Total events handled so far (all shards plus the sequential path) —
-    the denominator of the bench's allocs-per-event measurement. *)
+(** Total events handled so far (all shards plus host callbacks) — the
+    denominator of the bench's allocs-per-event measurement. *)
 let events_handled t =
-  t.seq_handled
-  +
-  match t.sharding with
-  | Some s -> Array.fold_left (fun acc sh -> acc + sh.handled) 0 s.shards
-  | None -> 0
+  Array.fold_left (fun acc sh -> acc + sh.handled) t.seq_handled t.sharding.shards
 
 (** Retire a node (churn "leave"). Pending events addressed to it
     (deliveries, timers, samples) die silently because every handler

@@ -52,8 +52,8 @@ val set_strict_install : t -> bool -> unit
     the shrunk {!Dataflow.Tracer.spill_config} in-RAM window — call
     before adding nodes to get the resident-memory win. Disk writes
     happen only at tick barriers and run end, single-threaded, so
-    sharded runs stay deterministic and per-node logs are
-    byte-identical across shard counts (DESIGN.md §15). *)
+    runs stay deterministic and per-node logs are byte-identical
+    across shard counts (DESIGN.md §15). *)
 val set_trace_log : ?config:Seglog.config -> t -> string -> unit
 
 (** The flight-recorder root directory, when recording. *)
@@ -106,7 +106,10 @@ val set_sanitize : t -> bool -> unit
 
 val sanitize : t -> bool
 
+(** The virtual clock. Read by code handling an event inside a round
+    (a watch callback, say), it is that event's time. *)
 val now : t -> float
+
 val network : t -> Sim.Network.t
 
 (** Raises [Invalid_argument] for unknown addresses. *)
@@ -128,8 +131,8 @@ val at : t -> time:float -> (unit -> unit) -> unit
 
 (** Schedule a callback confined to [owner]'s state at an absolute
     simulation time. Unlike [at] — whose callbacks run alone between
-    rounds — a sharded run executes this inside [owner]'s shard during
-    the parallel phase, under the effect discipline. *)
+    rounds — this runs inside [owner]'s shard during a round, under
+    the effect discipline. *)
 val at_owned : t -> owner:string -> time:float -> (unit -> unit) -> unit
 
 (** Push a Wire-encoded packet onto the network immediately, bypassing
@@ -175,25 +178,27 @@ val run_until : t -> float -> unit
 
 val run_for : t -> float -> unit
 
-(** Select the execution engine. [0] (the default) is the classic
-    sequential event loop. [n >= 1] switches to the multicore
-    round/barrier loop: node addresses are hashed onto [n] shards, each
-    shard drains its nodes' events inside a tick window of [quantum]
-    virtual seconds (default 10 ms, the network's default base
-    latency) on its own domain, and a deterministic barrier replays
-    all cross-shard effects in a canonical order. Seeded runs produce
-    bit-for-bit identical simulations for every shard count >= 1;
-    shard count 0 (the sequential loop) interleaves same-window events
-    differently and is only promised to agree on fixpoints for
-    programs insensitive to sub-quantum ordering. Host callbacks
-    ([at]) always run alone between rounds. *)
+(** Set the shard count of the round/barrier event loop; every engine
+    starts with 1 shard and a 10 ms quantum. Node addresses are hashed
+    onto [n] shards, each shard drains its nodes' events inside a tick
+    window of [quantum] virtual seconds (default 10 ms, the network's
+    default base latency) on its own domain, and a single-threaded
+    barrier replays all cross-shard effects in the round's pop order.
+    Seeded runs produce bit-for-bit identical simulations for every
+    shard count. An effect applies exactly where an event-at-a-time
+    loop would apply it unless it lands inside its own window; at the
+    default quantum no network delivery or timer does, but a coarser
+    quantum or the zero-delay flush of delta batching can, and is then
+    handled in the next round (a different, still shard-count
+    independent, simulation). Host callbacks ([at]) always run alone
+    between rounds. Raises [Invalid_argument] when [n < 1]. *)
 val set_shards : ?quantum:float -> t -> int -> unit
 
-(** Current shard count; 0 means the sequential loop. *)
+(** Current shard count (at least 1). *)
 val shards : t -> int
 
-(** Events handled since creation (all shards plus the sequential
-    path) — the denominator for allocs-per-event measurements. *)
+(** Events handled since creation (all shards plus host callbacks) —
+    the denominator for allocs-per-event measurements. *)
 val events_handled : t -> int
 
 (** Retire a node permanently (churn "leave"): pending events addressed

@@ -180,7 +180,7 @@ let read_file path =
 
 let record_chord ~dir ~shards ~sanitize =
   let engine = Engine.create ~seed:11 ~trace:true () in
-  if shards > 0 then Engine.set_shards engine shards;
+  Engine.set_shards engine shards;
   if sanitize then Engine.set_sanitize engine true;
   Engine.set_trace_log engine dir;
   let net = Chord.boot engine 6 in

@@ -286,6 +286,15 @@ let test_unknown_address_raises () =
   Alcotest.(check bool) "known node still present" true
     (P2_runtime.Engine.node_opt engine "a" <> None)
 
+(* Every engine runs the round/barrier loop, so a shard count below 1
+   names no loop at all. *)
+let test_zero_shards_raises () =
+  let engine = mk () in
+  Alcotest.check_raises "set_shards 0"
+    (Invalid_argument "Engine.set_shards: shard count must be >= 1, got 0")
+    (fun () -> P2_runtime.Engine.set_shards engine 0);
+  Alcotest.(check int) "still one shard" 1 (P2_runtime.Engine.shards engine)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -306,6 +315,7 @@ let () =
           Alcotest.test_case "link cut" `Quick test_link_cut;
           Alcotest.test_case "unknown address raises" `Quick
             test_unknown_address_raises;
+          Alcotest.test_case "zero shards raises" `Quick test_zero_shards_raises;
         ] );
       ( "introspection",
         [

@@ -2,7 +2,7 @@
 
    The round/barrier loop promises bit-for-bit determinism: a seeded
    run must produce the identical simulation — every hard-state
-   fixpoint, every message count — for every shard count >= 1,
+   fixpoint, every message count — for every shard count,
    regardless of how many domains actually execute the rounds. These
    suites run the same seeded workloads at shards {1, 2, 4} and demand
    exact agreement, over:
@@ -15,10 +15,9 @@
    - a recursive transitive-closure program whose cross-shard deltas
      exercise the deferred-effect path.
 
-   The sequential loop (shards = 0) interleaves same-window events
-   differently and is deliberately not part of the exact-equality
-   oracle; a separate case checks it still agrees on the structural
-   ring fixpoint. *)
+   A pinned golden also ties the default-quantum ring to the
+   event-at-a-time order: the barrier replays effects in pop order,
+   so the totals must match what applying each effect at once gives. *)
 
 module Engine = P2_runtime.Engine
 module Node = P2_runtime.Node
@@ -170,16 +169,24 @@ let test_ring_coarse_quantum () =
   in
   check_arms_identical ~what:"chord ring, coarse quantum" arms
 
-(* The sequential loop is a different interleaving, not a different
-   program: it must still converge the same structural ring. *)
-let structural = [ "node"; "landmark"; "bestSucc"; "pred"; "finger" ]
+(* Totals of the seed-42, 10-node, 150 s ring as an event-at-a-time
+   loop (each effect applied the moment its event ran) produced them.
+   At the default quantum no effect lands inside its own window, so
+   replaying the barrier's effects in pop order must give exactly
+   these numbers at every shard count; any drift in the canonical
+   order shows up here. *)
+let golden_ring_events = 39420
+let golden_ring_msgs = 8952
 
-let test_ring_sequential_agrees_structurally () =
-  let seq = run_ring ~shards:0 ~quantum:0.01 ~seed:42 ~n:10 ~horizon:150. () in
-  let sh = run_ring ~shards:2 ~quantum:0.01 ~seed:42 ~n:10 ~horizon:150. () in
-  let only (_, t, _) = List.mem t structural in
-  check_fixpoints_equal ~what:"sequential vs sharded structural ring"
-    (List.filter only seq.fp) (List.filter only sh.fp)
+let test_ring_golden () =
+  List.iter
+    (fun n ->
+      let arm = run_ring ~shards:n ~quantum:0.01 ~seed:42 ~n:10 ~horizon:150. () in
+      Alcotest.(check int) (Fmt.str "events at shards=%d" n) golden_ring_events
+        arm.events;
+      Alcotest.(check int) (Fmt.str "msgs at shards=%d" n) golden_ring_msgs
+        arm.msgs)
+    shard_counts
 
 (* --- suite 3: recursive closure with cross-shard deltas --- *)
 
@@ -269,10 +276,10 @@ let test_sanitizer_catches_direct_send () =
       Alcotest.(check string) "guarded site" "Engine.raw_send_now" site;
       Alcotest.(check bool) "offending event seq identified" true (seq >= 0)
 
-(* The same rogue callback is legal outside a parallel round: in the
-   sequential loop there is no barrier to bypass, so the sanitizer must
-   stay quiet (no false positives). *)
-let test_sanitizer_quiet_sequential () =
+(* The same rogue send is legal outside a round: a host callback runs
+   alone between rounds, with no barrier to bypass, so the sanitizer
+   must stay quiet (no false positives). *)
+let test_sanitizer_quiet_host_callback () =
   let engine = Engine.create ~seed:5 () in
   Engine.set_sanitize engine true;
   for i = 0 to 3 do
@@ -281,7 +288,7 @@ let test_sanitizer_quiet_sequential () =
   (* drop the rogue packet at the network: it is not Wire-encoded, and
      only the sanitizer's reaction (none, here) is under test *)
   Engine.cut_link engine ~src:"n0" ~dst:"n1";
-  Engine.at_owned engine ~owner:"n0" ~time:1.0 (fun () ->
+  Engine.at engine ~time:1.0 (fun () ->
       Engine.unsafe_direct_send engine ~src:"n0" ~dst:"n1" "rogue-packet");
   Engine.run_until engine 5.0
 
@@ -299,8 +306,8 @@ let () =
             test_ring_differential;
           Alcotest.test_case "coarse quantum identical at shards 1/2/4" `Slow
             test_ring_coarse_quantum;
-          Alcotest.test_case "sequential loop agrees structurally" `Slow
-            test_ring_sequential_agrees_structurally;
+          Alcotest.test_case "default quantum matches pinned golden" `Slow
+            test_ring_golden;
         ] );
       ( "closure",
         [
@@ -313,7 +320,7 @@ let () =
             `Slow test_sanitize_identity;
           Alcotest.test_case "direct off-barrier send raises" `Quick
             test_sanitizer_catches_direct_send;
-          Alcotest.test_case "no false positive in the sequential loop" `Quick
-            test_sanitizer_quiet_sequential;
+          Alcotest.test_case "no false positive in a host callback" `Quick
+            test_sanitizer_quiet_host_callback;
         ] );
     ]
