@@ -42,6 +42,7 @@ type json =
   | Arr of json list
   | Num of float
   | Int of int
+  | Str of string
 
 let buf_json buf j =
   let add = Buffer.add_string buf in
@@ -82,6 +83,7 @@ let buf_json buf j =
         if Float.is_finite f then add (Fmt.str "%.17g" f)
         else add "null"  (* stddev of a degenerate sample, etc. *)
     | Int i -> add (string_of_int i)
+    | Str s -> str s
   in
   go j
 
@@ -103,6 +105,10 @@ let write_json path =
                ("settle_s", Num settle);
                ("window_s", Num window);
                ("seeds", Arr (List.map (fun s -> Int s) seeds));
+               (* the host the numbers came from *)
+               ("ocaml_version", Str Sys.ocaml_version);
+               ("word_size", Int Sys.word_size);
+               ("recommended_domains", Int (Domain.recommended_domain_count ()));
              ] );
          ("sections", Obj (List.rev !results));
        ]);
@@ -147,7 +153,7 @@ let replicate ?(trace = false) setup =
   in
   let stat f =
     let xs = List.map f points in
-    (Sim.Metrics.mean xs, Sim.Metrics.stddev xs)
+    (Metrics.mean xs, Metrics.stddev xs)
   in
   ( stat (fun p -> p.cpu),
     stat (fun p -> p.mem),
@@ -303,8 +309,8 @@ let bench_ablation_buggy_chord () =
             float_of_int (Core.Alarms.count det.repeat) ))
         seeds
     in
-    let osc = Sim.Metrics.mean (List.map fst points) in
-    let rep = Sim.Metrics.mean (List.map snd points) in
+    let osc = Metrics.mean (List.map fst points) in
+    let rep = Metrics.mean (List.map snd points) in
     Fmt.pr "  %-22s oscillations: %7.1f   repeat-oscillators: %7.1f@." label osc rep;
     pending_rows :=
       (label, Obj [ ("oscillations", Num osc); ("repeat_oscillators", Num rep) ])
@@ -763,7 +769,7 @@ let bench_join check_speedup =
   let reps f = List.init join_reps (fun _ -> f ()) in
   let indexed = reps (fun () -> time_run ~use_probe:true ~events:indexed_events) in
   let scanned = reps (fun () -> time_run ~use_probe:false ~events:scan_events) in
-  let mean = Sim.Metrics.mean and stddev = Sim.Metrics.stddev in
+  let mean = Metrics.mean and stddev = Metrics.stddev in
   let speedup = mean scanned /. Float.max 1e-12 (mean indexed) in
   Fmt.pr "  indexed probe: %10.0f ns/event ±%8.0f  (%d events x%d)@."
     (mean indexed *. 1e9) (stddev indexed *. 1e9) indexed_events join_reps;
@@ -997,7 +1003,7 @@ let bench_forensics () =
   let write = bench_seglog_throughput () in
   let log_root = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf log_root) @@ fun () ->
-  let stat f points = Sim.Metrics.(mean (List.map f points), stddev (List.map f points)) in
+  let stat f points = Metrics.(mean (List.map f points), stddev (List.map f points)) in
   let in_ram =
     List.map (fun s -> fst (forensics_arm ~spill:false ~log_root s)) seeds
   in
@@ -1010,7 +1016,7 @@ let bench_forensics () =
   in
   arm "in-RAM window" in_ram;
   arm "disk spill" spill;
-  let mem points = Sim.Metrics.mean (List.map (fun p -> p.mem) points) in
+  let mem points = Metrics.mean (List.map (fun p -> p.mem) points) in
   let drop_pct = 100. *. (1. -. (mem spill /. Float.max 1e-9 (mem in_ram))) in
   (* on-disk footprint + integrity of what one arm's runs recorded *)
   let log_records, log_bytes =

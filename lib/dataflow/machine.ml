@@ -42,7 +42,6 @@ type ctx = {
       (* allocate a node-unique id, register with the tracer, count it *)
   emit : delete:bool -> Tuple.t -> unit;  (* route a head tuple *)
   charge : float -> unit;
-  rule_executed : unit -> unit;
   tracer : Tracer.t option;
 }
 
@@ -79,6 +78,7 @@ type stats = {
   executed : Metrics.Counter.t;  (* agenda items executed *)
   enqueued : Metrics.Counter.t;  (* agenda items pushed *)
   drains : Metrics.Counter.t;  (* drain (fixpoint) invocations *)
+  rule_executions : Metrics.Counter.t;  (* strand firings that produced a head tuple *)
   drain_items : Metrics.Histogram.t;  (* items per non-empty drain *)
   drain_work_us : Metrics.Histogram.t;
       (* node-local work (notional µs) consumed per non-empty drain:
@@ -138,6 +138,7 @@ let create ?(mode = Depth_first) ctx =
         executed = Metrics.Counter.create ();
         enqueued = Metrics.Counter.create ();
         drains = Metrics.Counter.create ();
+        rule_executions = Metrics.Counter.create ();
         drain_items = Metrics.Histogram.create ();
         drain_work_us = Metrics.Histogram.create ();
       };
@@ -257,7 +258,7 @@ let emit_head t (s : Strand.t) env prov x =
     in
     let dst = match loc with Value.VAddr a -> a | _ -> ctx.addr in
     let tuple = ctx.create_tuple ~dst head.hatom (loc :: fields) in
-    ctx.rule_executed ();
+    Metrics.Counter.incr t.stats.rule_executions;
     ctx.emit ~delete:true tuple
   end
   else begin
@@ -269,13 +270,13 @@ let emit_head t (s : Strand.t) env prov x =
           | Ast.Agg _ -> invalid_arg "emit_head: aggregate in non-aggregate strand")
         head.hfields
     in
-    ctx.charge Sim.Metrics.Cost.element;
+    ctx.charge Cost.element;
     let dst = match loc with Value.VAddr a -> a | _ -> ctx.addr in
     let tuple = ctx.create_tuple ~dst head.hatom (loc :: fields) in
     if x.traced then tap_output t s tuple;
     if t.record_ground_truth then
       t.ground_truth <- (s.rule_id, prov.cause_id, Tuple.id tuple) :: t.ground_truth;
-    ctx.rule_executed ();
+    Metrics.Counter.incr t.stats.rule_executions;
     ctx.emit ~delete:false tuple
   end
 
@@ -316,15 +317,15 @@ let rec run_from t (s : Strand.t) stages idx env prov x =
   else
     match stages.(idx) with
     | Strand.Select e ->
-        t.ctx.charge Sim.Metrics.Cost.eval;
+        t.ctx.charge Cost.eval;
         if Eval.eval_bool t.ctx.eval_ctx env e then
           run_from t s stages (idx + 1) env prov x
     | Strand.Bind (v, e) ->
-        t.ctx.charge Sim.Metrics.Cost.eval;
+        t.ctx.charge Cost.eval;
         let env = Eval.Env.bind env v (Eval.eval t.ctx.eval_ctx env e) in
         run_from t s stages (idx + 1) env prov x
     | Strand.Neg_join { atom; bound; bound_args } ->
-        t.ctx.charge Sim.Metrics.Cost.table_lookup;
+        t.ctx.charge Cost.table_lookup;
         let exists =
           Eval.match_atom_exists t.ctx.eval_ctx env atom
             (candidates t env atom bound bound_args)
@@ -336,10 +337,10 @@ let rec run_from t (s : Strand.t) stages idx env prov x =
            yields — not to the table size. Since the store grew real
            hash indexes this is how the implementation behaves too,
            not just how it is charged. *)
-        t.ctx.charge Sim.Metrics.Cost.table_lookup;
+        t.ctx.charge Cost.table_lookup;
         let matches =
           Eval.match_atom_all
-            ~on_match:(fun _ -> t.ctx.charge Sim.Metrics.Cost.eval)
+            ~on_match:(fun _ -> t.ctx.charge Cost.eval)
             t.ctx.eval_ctx env atom
             (candidates t env atom bound bound_args)
         in
@@ -375,7 +376,7 @@ let item_strand = function
   | Run (s, _, _, _, _, _) | Join_cont (s, _, _, _, _, _, _) | Complete (s, _, _) -> s
 
 let exec_item t item =
-  t.ctx.charge Sim.Metrics.Cost.element;
+  t.ctx.charge Cost.element;
   Metrics.Counter.incr t.stats.executed;
   let s0 = item_strand item in
   t.last_fired <- Some s0.Strand.rule_id;
@@ -403,23 +404,23 @@ let enumerate t (s : Strand.t) env0 =
     else
       match stages.(idx) with
       | Strand.Select e ->
-          t.ctx.charge Sim.Metrics.Cost.eval;
+          t.ctx.charge Cost.eval;
           if Eval.eval_bool t.ctx.eval_ctx env e then go (idx + 1) env
       | Strand.Bind (v, e) ->
-          t.ctx.charge Sim.Metrics.Cost.eval;
+          t.ctx.charge Cost.eval;
           go (idx + 1) (Eval.Env.bind env v (Eval.eval t.ctx.eval_ctx env e))
       | Strand.Neg_join { atom; bound; bound_args } ->
-          t.ctx.charge Sim.Metrics.Cost.table_lookup;
+          t.ctx.charge Cost.table_lookup;
           let exists =
             Eval.match_atom_exists t.ctx.eval_ctx env atom
               (candidates t env atom bound bound_args)
           in
           if not exists then go (idx + 1) env
       | Strand.Join { atom; bound; bound_args; _ } ->
-          t.ctx.charge Sim.Metrics.Cost.table_lookup;
+          t.ctx.charge Cost.table_lookup;
           List.iter
             (fun (env', _) ->
-              t.ctx.charge Sim.Metrics.Cost.eval;
+              t.ctx.charge Cost.eval;
               go (idx + 1) env')
             (Eval.match_atom_all t.ctx.eval_ctx env atom
                (candidates t env atom bound bound_args))
@@ -536,7 +537,7 @@ let run_aggregate t (s : Strand.t) env0 trigger_tuple =
           if t.record_ground_truth then
             t.ground_truth <-
               (s.rule_id, Tuple.id trigger_tuple, Tuple.id tuple) :: t.ground_truth;
-          ctx.rule_executed ();
+          Metrics.Counter.incr t.stats.rule_executions;
           ctx.emit ~delete:s.head.hdelete tuple)
     (List.rev !group_order);
   (* The virtual stage completes immediately: aggregates are atomic. *)
@@ -568,7 +569,7 @@ let naive_refire t (s : Strand.t) =
 (** Offer a tuple to a strand. Returns true if the trigger matched. *)
 let trigger t (s : Strand.t) tuple =
   let atom = Strand.trigger_atom s in
-  t.ctx.charge Sim.Metrics.Cost.element;
+  t.ctx.charge Cost.element;
   if naive_refire t s then begin
     (* Naive ablation: the delta is only a change signal — fire
        unconditionally and re-join the whole body (trigger atom

@@ -31,7 +31,6 @@ type ctx = {
   create_tuple : dst:string -> string -> Value.t list -> Tuple.t;
   emit : delete:bool -> Tuple.t -> unit;
   charge : float -> unit;
-  rule_executed : unit -> unit;
   tracer : Tracer.t option;
 }
 
@@ -47,6 +46,8 @@ type stats = {
   executed : Metrics.Counter.t;  (** agenda items executed *)
   enqueued : Metrics.Counter.t;  (** agenda items pushed *)
   drains : Metrics.Counter.t;  (** drain (fixpoint) invocations *)
+  rule_executions : Metrics.Counter.t;
+      (** strand firings that produced a head tuple *)
   drain_items : Metrics.Histogram.t;  (** items per non-empty drain *)
   drain_work_us : Metrics.Histogram.t;
       (** node-local work (notional µs) per non-empty drain *)

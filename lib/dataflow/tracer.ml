@@ -15,7 +15,8 @@
 
     with reference counting from [ruleExec] rows (§2.1.3): an entry is
     discarded when the last referring [ruleExec] row is removed or
-    times out.
+    times out, or, for a tuple no [ruleExec] row refers to, when its
+    [tupleTable] row times out.
 
     Pipelined execution (§2.1.2) is handled by keeping multiple tracer
     records per rule, each associated with a contiguous interval of
@@ -103,7 +104,7 @@ type t = {
 
 (* Work-unit cost of one tap observation; this is where the paper's
    "execution logging increases CPU by 40%" overhead comes from. *)
-let tap_cost = Sim.Metrics.Cost.tracer_tap
+let tap_cost = Cost.tracer_tap
 
 (* All writes to the contents memo go through these two, which keep
    its running byte total. *)
@@ -174,6 +175,15 @@ let create ?(config = default_config) ~addr ~now ~charge () =
             in
             unref cause;
             unref effect
+        | _ -> ())
+    | Store.Table.Insert _ | Store.Table.Refresh _ -> ());
+  (* A tuple no ruleExec row cites has no reference count, so the path
+     above never reclaims it: its memo entry leaves with its tupleTable
+     row instead. A cited tuple stays until its last citing row goes. *)
+  Store.Table.subscribe tuple_table (function
+    | Store.Table.Delete row -> (
+        match Tuple.field row 2 with
+        | Value.VInt id when not (Hashtbl.mem t.refs id) -> memo_remove t id
         | _ -> ())
     | Store.Table.Insert _ | Store.Table.Refresh _ -> ());
   t
@@ -248,7 +258,7 @@ let emit_rule_exec t ~rule ~cause ~effect ~t_cause ~t_out ~is_event =
       | Some f -> f ~stamp:t_out ~delete:false row
       | None -> ())
   | Store.Table.Replaced | Store.Table.Refreshed -> ());
-  t.charge Sim.Metrics.Cost.table_insert
+  t.charge Cost.table_insert
 
 (** Re-insert a recorded trace record (replay path). [ruleExec] and
     [tupleTable] rows go back into their tables — delta strands

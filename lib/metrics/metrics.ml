@@ -131,6 +131,20 @@ module Histogram = struct
          t.counts)
 end
 
+(* Summary statistics over repeated measurements (bench seeds). *)
+let mean xs =
+  match xs with
+  | [] -> 0.
+  | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+
+(* Population standard deviation; 0 for fewer than two values. *)
+let stddev xs =
+  match xs with
+  | [] | [ _ ] -> 0.
+  | _ ->
+      let m = mean xs in
+      sqrt (mean (List.map (fun x -> (x -. m) ** 2.) xs))
+
 type kind = KCounter | KGauge
 
 type sample = { name : string; kind : kind; value : float }

@@ -63,6 +63,12 @@ module Histogram : sig
   val buckets : t -> (float * int) list
 end
 
+(** Arithmetic mean; 0 for an empty list. *)
+val mean : float list -> float
+
+(** Population standard deviation; 0 for fewer than two values. *)
+val stddev : float list -> float
+
 type kind = KCounter | KGauge
 
 type sample = { name : string; kind : kind; value : float }

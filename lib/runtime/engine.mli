@@ -1,7 +1,7 @@
 (** The distributed engine: hosts N P2 nodes on a simulated network.
     Owns the virtual clock, message delivery (through the wire codec),
-    periodic-rule timers, fault injection, metric sampling, and on-line
-    program installation. *)
+    periodic-rule timers, fault injection, the periodic soft-state
+    sweep, and on-line program installation. *)
 
 open Overlog
 
@@ -12,7 +12,6 @@ val create :
   ?base_latency:float ->
   ?jitter:float ->
   ?loss_rate:float ->
-  ?sample_interval:float ->
   ?trace:bool ->
   ?strict_install:bool ->
   ?reliable:bool ->

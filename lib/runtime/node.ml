@@ -20,8 +20,15 @@ type peer_stats = {
 type t = {
   addr : string;
   catalog : Store.Catalog.t;
-  metrics : Sim.Metrics.t;
   registry : Metrics.t;
+  work : Metrics.Gauge.t;
+      (* accumulated work units (notional µs): the CPU proxy, and the
+         offset of node-local time from the simulation clock *)
+  tuples_created : Metrics.Counter.t;
+  msgs_tx : Metrics.Counter.t;
+  msgs_rx : Metrics.Counter.t;
+  bytes_tx : Metrics.Counter.t;
+  bytes_rx : Metrics.Counter.t;
   peers : (string, peer_stats) Hashtbl.t;
   rng : Sim.Rng.t;
   tracer : Dataflow.Tracer.t;
@@ -53,7 +60,8 @@ let system_tables = [ "ruleExec"; "tupleTable" ]
    exempt from tracer registration: reflecting hundreds of p2Stats
    rows per tick into the tupleTable would make the measurement
    instrument dominate what it measures. *)
-let reflected_tables = [ "p2Stats"; "p2TableStats"; "p2NetStats"; "p2PeerStatus" ]
+let reflected_tables =
+  [ "p2Stats"; "p2TableStats"; "p2NetStats"; "p2PeerStatus"; "p2Rule" ]
 
 let log_src = Logs.Src.create "p2.analysis" ~doc:"OverLog install-time analysis"
 
@@ -66,7 +74,6 @@ let fresh_tuple_id t =
 
 let addr t = t.addr
 let catalog t = t.catalog
-let metrics t = t.metrics
 let registry t = t.registry
 let tracer t = t.tracer
 
@@ -123,7 +130,7 @@ let is_table t name =
 let create_tuple t ~dst name fields =
   let id = fresh_tuple_id t in
   let tuple = Tuple.make ~id name fields in
-  Sim.Metrics.tuple_created t.metrics;
+  Metrics.Counter.incr t.tuples_created;
   if not (List.mem name system_tables || List.mem name reflected_tables) then
     Dataflow.Tracer.register_tuple t.tracer tuple ~src:t.addr ~src_id:id ~dst;
   tuple
@@ -154,7 +161,7 @@ let rec deliver t tuple =
       | None -> ());
       match Store.Catalog.find t.catalog name with
       | Some table ->
-          Sim.Metrics.charge t.metrics Sim.Metrics.Cost.table_insert;
+          Metrics.Gauge.add t.work Dataflow.Cost.table_insert;
           let _ = Store.Table.insert table ~now:(t.now ()) tuple in
           ()
       | None ->
@@ -172,7 +179,9 @@ and emit t ~delete tuple =
     if delete then apply_delete t tuple else deliver t tuple
   else begin
     let bytes = Wire.size ~delete tuple in
-    Sim.Metrics.message_tx t.metrics ~bytes;
+    Metrics.Counter.incr t.msgs_tx;
+    Metrics.Counter.add t.bytes_tx bytes;
+    Metrics.Gauge.add t.work Dataflow.Cost.marshal;
     let p = peer t dst in
     p.tx_msgs <- p.tx_msgs + 1;
     p.tx_bytes <- p.tx_bytes + bytes;
@@ -198,13 +207,15 @@ and apply_delete t pattern =
    cross-node link in the tupleTable (paper §2.1.3), and deliver.
    [bytes] is the wire-frame size when the transport knows it. *)
 let receive t ?(bytes = 0) ~src ~src_tuple_id ~delete ~name ~fields () =
-  Sim.Metrics.message_rx ~bytes t.metrics;
+  Metrics.Counter.incr t.msgs_rx;
+  Metrics.Counter.add t.bytes_rx bytes;
+  Metrics.Gauge.add t.work Dataflow.Cost.marshal;
   let p = peer t src in
   p.rx_msgs <- p.rx_msgs + 1;
   p.rx_bytes <- p.rx_bytes + bytes;
   let id = fresh_tuple_id t in
   let tuple = Tuple.make ~id name fields in
-  Sim.Metrics.tuple_created t.metrics;
+  Metrics.Counter.incr t.tuples_created;
   if not (List.mem name system_tables || List.mem name reflected_tables) then
     Dataflow.Tracer.register_tuple t.tracer tuple ~src ~src_id:src_tuple_id ~dst:t.addr;
   if delete then apply_delete t tuple else deliver t tuple
@@ -220,7 +231,6 @@ let dummy_machine addr =
       create_tuple = (fun ~dst:_ name fields -> Tuple.make name fields);
       emit = (fun ~delete:_ _ -> ());
       charge = (fun _ -> ());
-      rule_executed = (fun () -> ());
       tracer = None;
     }
 
@@ -257,18 +267,19 @@ let register_metrics t =
   (* node: planner and lifecycle counters *)
   counter "node.rules_installed" (fun () -> float_of_int t.rules_installed);
   counter "node.dead_events" (fun () -> float_of_int t.dead_events);
-  counter "node.tuples_created" (fun () ->
-      float_of_int (Sim.Metrics.tuples_created t.metrics));
+  Metrics.attach_counter reg "node.tuples_created" t.tuples_created;
   counter "node.rule_executions" (fun () ->
-      float_of_int (Sim.Metrics.rule_executions t.metrics));
-  counter "node.work_units" (fun () -> Sim.Metrics.work t.metrics);
+      float_of_int (Metrics.Counter.value (ms ()).rule_executions));
+  (* A running total, so a counter, but float-valued: it lives in a
+     gauge, whose all-float record updates without boxing. *)
+  counter "node.work_units" (fun () -> Metrics.Gauge.value t.work);
   (* net: node-wide traffic (per-peer detail goes to p2NetStats) *)
-  counter "net.msgs_tx" (fun () -> float_of_int (Sim.Metrics.messages_tx t.metrics));
-  counter "net.msgs_rx" (fun () -> float_of_int (Sim.Metrics.messages_rx t.metrics));
-  counter "net.bytes_tx" (fun () -> float_of_int (Sim.Metrics.bytes_tx t.metrics));
-  counter "net.bytes_rx" (fun () -> float_of_int (Sim.Metrics.bytes_rx t.metrics));
+  Metrics.attach_counter reg "net.msgs_tx" t.msgs_tx;
+  Metrics.attach_counter reg "net.msgs_rx" t.msgs_rx;
+  Metrics.attach_counter reg "net.bytes_tx" t.bytes_tx;
+  Metrics.attach_counter reg "net.bytes_rx" t.bytes_rx;
   (* store: catalog-wide census; live counts go through the normal
-     expiry-aware reads only inside [live_tuples] (the Sample event),
+     expiry-aware reads only inside [live_tuples] (the engine's Sweep),
      so these gauges stay cheap and side-effect-free *)
   gauge "store.tables" (fun () ->
       float_of_int (List.length (Store.Catalog.names t.catalog)));
@@ -308,7 +319,7 @@ let register_metrics t =
   counter "trace.log.retention_drops" (wstat (fun s -> s.Seglog.retention_drops))
 
 let create ~addr ~rng ?(trace = false) ?tracer_config () =
-  let metrics = Sim.Metrics.create () in
+  let work = Metrics.Gauge.create () in
   (* The clock closure is redirected by the engine via [set_now]; the
      tracer reads it through the node record so it always sees the
      current clock. *)
@@ -317,18 +328,22 @@ let create ~addr ~rng ?(trace = false) ?tracer_config () =
      are notional microseconds). This gives rule executions a nonzero,
      deterministic duration, so the §3.2 profiler sees realistic
      in-rule vs. network time splits. *)
-  let local_now () = !clock () +. (Sim.Metrics.work metrics *. 1e-6) in
+  let local_now () = !clock () +. (Metrics.Gauge.value work *. 1e-6) in
   let tracer =
     Dataflow.Tracer.create ?config:tracer_config ~addr ~now:local_now
-      ~charge:(fun c -> Sim.Metrics.charge metrics c)
-      ()
+      ~charge:(Metrics.Gauge.add work) ()
   in
   let t =
     {
       addr;
       catalog = Store.Catalog.create ();
-      metrics;
       registry = Metrics.create ();
+      work;
+      tuples_created = Metrics.Counter.create ();
+      msgs_tx = Metrics.Counter.create ();
+      msgs_rx = Metrics.Counter.create ();
+      bytes_tx = Metrics.Counter.create ();
+      bytes_rx = Metrics.Counter.create ();
       peers = Hashtbl.create 8;
       rng;
       tracer;
@@ -360,8 +375,7 @@ let create ~addr ~rng ?(trace = false) ?tracer_config () =
       probe = (fun name ~positions ~values -> probe t name ~positions ~values);
       create_tuple = (fun ~dst name fields -> create_tuple t ~dst name fields);
       emit = (fun ~delete tuple -> emit t ~delete tuple);
-      charge = (fun c -> Sim.Metrics.charge t.metrics c);
-      rule_executed = (fun () -> Sim.Metrics.rule_executed t.metrics);
+      charge = Metrics.Gauge.add work;
       tracer = Some t.tracer;
     }
   in
@@ -508,7 +522,7 @@ let last_diagnostics t = t.last_diagnostics
 (* Fire a periodic strand: construct the built-in periodic(addr, nonce,
    period) event and trigger just that strand. *)
 let fire_periodic t (req : timer_request) =
-  Sim.Metrics.charge t.metrics Sim.Metrics.Cost.timer;
+  Metrics.Gauge.add t.work Dataflow.Cost.timer;
   let nonce = Value.VInt (Sim.Rng.int t.rng 1_000_000_000) in
   let atom = Dataflow.Strand.trigger_atom req.strand in
   (* Arity must match the atom: periodic@N(E, T) or periodic@N(E, T, C). *)
@@ -536,5 +550,5 @@ let live_bytes t =
 let local_time t = t.now ()
 
 (** Installed rules as (rule id, pretty-printed source), oldest first —
-    the data behind the [sysRule] introspection table. *)
+    the data behind the [p2Rule] reflection table. *)
 let rules t = List.rev t.rule_texts

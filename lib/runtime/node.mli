@@ -28,7 +28,7 @@ val create :
   t
 
 (** Names of the metric-reflection tables ([p2Stats], [p2TableStats],
-    [p2NetStats], [p2PeerStatus]). Their rows are exempt from tracer
+    [p2NetStats], [p2PeerStatus], [p2Rule]). Their rows are exempt from tracer
     registration and from the [store.*] aggregate counters, so the
     measurement instrument never dominates what it measures. *)
 val reflected_tables : string list
@@ -43,12 +43,13 @@ val system_tables : string list
 
 val addr : t -> string
 val catalog : t -> Store.Catalog.t
-val metrics : t -> Sim.Metrics.t
 
-(** This node's metric registry. Every runtime counter, gauge and
-    histogram aggregate is registered here under a stable dotted name
-    (see docs/OPERATIONS.md for the full catalog); snapshots feed the
-    [p2Stats] reflection and [p2ql stats]. *)
+(** This node's metric registry, its only metric layer. Every runtime
+    counter, gauge and histogram aggregate is registered here under a
+    stable dotted name (see docs/OPERATIONS.md for the full catalog),
+    the work units behind the CPU proxy and node-local time included
+    ([node.work_units]); snapshots feed the [p2Stats] reflection and
+    [p2ql stats]. *)
 val registry : t -> Metrics.t
 
 (** Per-peer traffic counters, sorted by peer address. *)
@@ -59,7 +60,8 @@ val machine : t -> Dataflow.Machine.t
 val dead_events : t -> int
 val rules_installed : t -> int
 
-(** Installed rules as (rule id, pretty-printed source), oldest first. *)
+(** Installed rules as (rule id, pretty-printed source), oldest first —
+    the rows of the [p2Rule] reflection table. *)
 val rules : t -> (string * string) list
 
 (** Engine wiring. [set_now] also drives the tracer's clock. *)

@@ -1,7 +1,8 @@
 (** Self-reflection of runtime metrics into the catalog (ROADMAP:
     "monitor the monitor"). Every metric in a node's registry is
     periodically republished as ordinary soft-state tuples —
-    [p2Stats], [p2TableStats], [p2NetStats] — so OverLog rules can
+    [p2Stats], [p2TableStats], [p2NetStats], [p2PeerStatus], and
+    [p2Rule] for the installed rules — so OverLog rules can
     aggregate, join and alert over the runtime's own vital signs
     exactly as they do over application state.
 
@@ -21,18 +22,19 @@ let lifetime_of_period period = 3. *. period
 
 (** OverLog schema for the reflection tables, shared by [attach] and
     the embedded watchdog corpus entry. Keyed by (addr, name) /
-    (addr, table) / (addr, peer): each tick replaces the previous
-    row rather than accumulating history. *)
+    (addr, table) / (addr, peer) / (addr, rule id): each tick replaces
+    the previous row rather than accumulating history. *)
 let schema ?(period = 5.) () =
+  let l = lifetime_of_period period in
   Fmt.str
     {|
 materialize(p2Stats, %g, 10000, keys(1,2)).
 materialize(p2TableStats, %g, 10000, keys(1,2)).
 materialize(p2NetStats, %g, 10000, keys(1,2)).
 materialize(p2PeerStatus, %g, 10000, keys(1,2)).
+materialize(p2Rule, %g, 10000, keys(1,2)).
 |}
-    (lifetime_of_period period) (lifetime_of_period period)
-    (lifetime_of_period period) (lifetime_of_period period)
+    l l l l l
 
 let vint i = Value.VInt i
 let vstr s = Value.VStr s
@@ -48,9 +50,10 @@ let ensure_schema ~period node =
   if not (Store.Catalog.is_table (Node.catalog node) "p2Stats") then
     Node.install_text node (schema ~period ())
 
-(** Reflect one node's current metrics into its stats tables.
-    [transport] additionally publishes the transport failure
-    detector's per-peer verdicts as [p2PeerStatus] rows. *)
+(** Reflect one node's current metrics into its stats tables, and its
+    installed rules into [p2Rule]. [transport] additionally publishes
+    the transport failure detector's per-peer verdicts as
+    [p2PeerStatus] rows. *)
 let reflect_node ?transport ~period node =
   ensure_schema ~period node;
   List.iter
@@ -75,9 +78,8 @@ let reflect_node ?transport ~period node =
       reflect_tuple node "p2NetStats"
         [ vstr peer; vint p.tx_msgs; vint p.tx_bytes; vint p.rx_msgs; vint p.rx_bytes ])
     (Node.peers node);
-  match transport with
-  | None -> ()
-  | Some tr ->
+  Option.iter
+    (fun tr ->
       List.iter
         (fun (p : Transport.peer_info) ->
           reflect_tuple node "p2PeerStatus"
@@ -88,7 +90,11 @@ let reflect_node ?transport ~period node =
               Value.VFloat p.silent_for;
               vint p.sendq;
             ])
-        (Transport.peers tr)
+        (Transport.peers tr))
+    transport;
+  List.iter
+    (fun (rule_id, text) -> reflect_tuple node "p2Rule" [ vstr rule_id; vstr text ])
+    (Node.rules node)
 
 (** Attach periodic reflection to every node of the engine, present
     and future (addresses are re-enumerated each tick, and the schema

@@ -12,19 +12,23 @@
     - [p2PeerStatus(Addr, Peer, Status, Misses, SilentFor, SendQ)] —
       the transport failure detector's verdict per peer; [Status] is
       one of ["alive"], ["suspect"], ["dead"].
+    - [p2Rule(Addr, RuleId, Text)] — one row per installed rule, its
+      source pretty-printed (paper §2.1: the installed program is
+      itself queryable).
 
     Reflection rows for unchanged values only refresh their lifetime
     (no table delta), so delta rules over these tables fire exactly on
     movement. *)
 
-(** The [materialize] schema for the three reflection tables. Rows live
+(** The [materialize] schema for the five reflection tables. Rows live
     for three reflection periods, so a node that stops reflecting ages
     out. Also the analyzer environment for [Core.Watchdog]'s embedded
     corpus entry. *)
 val schema : ?period:float -> unit -> string
 
-(** Reflect one node's current registry, table stats and peer stats
-    into its catalog, installing the schema first if needed. Tuples go
+(** Reflect one node's current registry, table stats, peer stats and
+    installed rules into its catalog, installing the schema first if
+    needed. Tuples go
     through [Node.deliver], so delta strands fire and the agenda
     drains before this returns. [transport] additionally reflects the
     failure detector's per-peer verdicts as [p2PeerStatus] rows. *)

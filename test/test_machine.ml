@@ -47,7 +47,6 @@ let make_harness ?(tables = []) ?mode () =
           Tuple.make ~id:h.next_id name fields);
       emit = (fun ~delete tuple -> emitted := (delete, tuple) :: !emitted);
       charge = (fun _ -> ());
-      rule_executed = (fun () -> ());
       tracer = None;
     }
   in

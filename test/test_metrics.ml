@@ -123,6 +123,11 @@ let test_json_format () =
   Alcotest.(check bool) "object braces" true
     (String.length json >= 2 && json.[0] = '{' && json.[String.length json - 1] = '}')
 
+let test_stddev () =
+  Alcotest.(check (float 1e-9)) "mean" 2. (Metrics.mean [ 1.; 2.; 3. ]);
+  Alcotest.(check (float 1e-6)) "stddev" 0.816497 (Metrics.stddev [ 1.; 2.; 3. ]);
+  Alcotest.(check (float 0.)) "empty" 0. (Metrics.mean [])
+
 let () =
   Alcotest.run "metrics"
     [
@@ -148,4 +153,5 @@ let () =
             test_snapshot_deterministic;
           Alcotest.test_case "json format" `Quick test_json_format;
         ] );
+      ("summary", [ Alcotest.test_case "stats" `Quick test_stddev ]);
     ]

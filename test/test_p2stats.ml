@@ -1,7 +1,7 @@
 (* Integration tests for metric reflection (P2stats), the pure-OverLog
    watchdog, the JSON dump hooks, and the OPERATIONS.md contract: every
-   registered metric name is documented, and every OverLog block in the
-   manual passes the semantic analyzer. *)
+   registered metric name and every reflection table is documented,
+   and every OverLog block in the manual passes the semantic analyzer. *)
 
 open Overlog
 
@@ -69,6 +69,29 @@ let test_p2tablestats_and_netstats () =
       | v -> Alcotest.failf "tx_msgs not an int: %a" Value.pp v)
     peers
 
+(* Installed rules are reflected into p2Rule, where an OverLog rule
+   can find them by id and text. A rule that did not change only
+   refreshes its row, so the delta rule over p2Rule fires once. *)
+let test_p2rule_rows () =
+  let engine = Engine.create ~seed:1 () in
+  ignore (Engine.add_node engine "a");
+  Engine.install engine "a" (P2stats.schema ~period:1. ());
+  P2stats.attach ~period:1. engine;
+  Engine.install engine "a"
+    {|rx out@N(X) :- ev@N(X).
+q ruleSeen@N(R, T) :- p2Rule@N(R, T), R == "rx".|};
+  let seen = ref [] in
+  Engine.watch engine "a" "ruleSeen" (fun t -> seen := t :: !seen);
+  Engine.run_for engine 5.;
+  let text = List.assoc "rx" (Node.rules (Engine.node engine "a")) in
+  let row = [ Value.VAddr "a"; Value.VStr "rx"; Value.VStr text ] in
+  Alcotest.(check bool) "p2Rule row for rx" true
+    (List.exists (fun t -> Tuple.fields t = row) (table_tuples engine "a" "p2Rule"));
+  match !seen with
+  | [ t ] ->
+      Alcotest.(check bool) "queried by id, carries the text" true (Tuple.fields t = row)
+  | l -> Alcotest.failf "expected one ruleSeen, got %d" (List.length l)
+
 (* Reflection rows must never leak into the tracer's tupleTable: the
    instrument would otherwise dominate what it measures. *)
 let test_reflection_exempt_from_tracer () =
@@ -78,8 +101,11 @@ let test_reflection_exempt_from_tracer () =
   Engine.run_for engine 20.;
   let node = Engine.node engine "n0" in
   let tuple_table = Dataflow.Tracer.tuple_table (Node.tracer node) in
-  Alcotest.(check bool) "p2Stats rows were reflected" true
-    (table_tuples engine "n0" "p2Stats" <> []);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " rows were reflected") true
+        (table_tuples engine "n0" name <> []))
+    [ "p2Stats"; "p2Rule" ];
   (* tupleTable rows don't carry names, so approximate: a registered
      tuple resolves back to its contents via the tracer memo *)
   Store.Table.iter tuple_table ~now:(Engine.now engine) (fun row ->
@@ -217,6 +243,40 @@ let test_operations_documents_every_metric () =
   in
   Alcotest.(check (list string)) "every metric documented" [] undocumented
 
+(* Every table of the reflection schema must appear in the manual's
+   reflection-table list, [| `name` | `(Col, ...)` | `(keys)` |], with
+   its keys and with one column per field of the rows reflection
+   writes. *)
+let test_operations_documents_every_reflection_table () =
+  let listed =
+    String.split_on_char '\n' (operations_md ())
+    |> List.filter_map (fun line ->
+           match List.map String.trim (String.split_on_char '|' line) with
+           | [ ""; name; columns; keys; "" ] -> Some (name, (columns, keys))
+           | _ -> None)
+  in
+  let engine, _ = chord_with_stats () in
+  let tables =
+    List.filter_map
+      (function Ast.Materialize m -> Some m | _ -> None)
+      (Parser.parse (P2stats.schema ()))
+  in
+  Alcotest.(check int) "five reflection tables" 5 (List.length tables);
+  List.iter
+    (fun (m : Ast.materialize) ->
+      match List.assoc_opt ("`" ^ m.mname ^ "`") listed with
+      | None -> Alcotest.failf "%s missing from the reflection-table list" m.mname
+      | Some (columns, keys) -> (
+          Alcotest.(check string) (m.mname ^ " keys")
+            (Fmt.str "`(%s)`" (String.concat "," (List.map string_of_int m.mkeys)))
+            keys;
+          let documented = List.length (String.split_on_char ',' columns) in
+          match table_tuples engine "n0" m.mname with
+          | row :: _ ->
+              Alcotest.(check int) (m.mname ^ " columns") (Tuple.arity row) documented
+          | [] -> Alcotest.failf "no %s rows reflected" m.mname))
+    tables
+
 (* Every fenced OverLog block in the manual must pass the analyzer
    under the reflection-schema environment (mirroring the CI check on
    examples). *)
@@ -259,6 +319,7 @@ let () =
           Alcotest.test_case "p2Stats rows appear" `Quick test_p2stats_rows_appear;
           Alcotest.test_case "table and net stats" `Quick
             test_p2tablestats_and_netstats;
+          Alcotest.test_case "p2Rule" `Quick test_p2rule_rows;
           Alcotest.test_case "exempt from tracer" `Quick
             test_reflection_exempt_from_tracer;
         ] );
@@ -284,6 +345,8 @@ let () =
         [
           Alcotest.test_case "every metric documented" `Quick
             test_operations_documents_every_metric;
+          Alcotest.test_case "every reflection table documented" `Quick
+            test_operations_documents_every_reflection_table;
           Alcotest.test_case "manual examples analyze" `Quick
             test_operations_olg_blocks_analyze;
         ] );

@@ -220,33 +220,6 @@ r2 sink@N(X) :- out@N(X).";
   Alcotest.(check bool) "cross-node entry" true
     (List.exists (fun t -> Value.equal (Tuple.field t 3) (Value.VAddr "a")) rows)
 
-let test_introspect_tables () =
-  let engine = mk () in
-  ignore (P2_runtime.Engine.add_node engine "a");
-  P2_runtime.Engine.install engine "a"
-    "materialize(t, infinity, infinity, keys(1,2)).";
-  P2_runtime.Introspect.attach engine "a";
-  P2_runtime.Engine.install engine "a" "t@a(1).";
-  P2_runtime.Engine.run_for engine 3.;
-  Alcotest.(check bool) "sysTable rows" true (table_size engine "a" "sysTable" >= 1);
-  Alcotest.(check bool) "sysNode row" true (table_size engine "a" "sysNode" = 1);
-  (* sysTable reports table t with 1 live row *)
-  let row =
-    List.find_opt
-      (fun t -> Value.equal (Tuple.field t 2) (Value.VStr "t"))
-      (table_tuples engine "a" "sysTable")
-  in
-  (match row with
-  | Some t -> Alcotest.(check bool) "live count" true (Value.equal (Tuple.field t 5) (Value.VInt 1))
-  | None -> Alcotest.fail "expected sysTable row for t");
-  (* installed rules are reflected into sysRule, queryable by name *)
-  P2_runtime.Engine.install engine "a" "rx out@N(X) :- ev@N(X).";
-  P2_runtime.Engine.run_for engine 2.;
-  Alcotest.(check bool) "sysRule row for rx" true
-    (List.exists
-       (fun t -> Value.equal (Tuple.field t 2) (Value.VStr "rx"))
-       (table_tuples engine "a" "sysRule"))
-
 let test_determinism () =
   (* identical seeds give identical traffic counts *)
   let run () =
@@ -322,7 +295,6 @@ let () =
           Alcotest.test_case "ruleExec queryable" `Quick test_tracing_tables_queryable;
           Alcotest.test_case "tracing off" `Quick test_tracing_disabled_no_rows;
           Alcotest.test_case "cross-node tupleTable" `Quick test_cross_node_tuple_table;
-          Alcotest.test_case "sys tables" `Quick test_introspect_tables;
         ] );
       ("determinism", [ Alcotest.test_case "seeded runs" `Quick test_determinism ]);
     ]

@@ -267,31 +267,35 @@ let test_engine_seed_sensitivity () =
   let log1, _, _ = gossip_trace 11 and log2, _, _ = gossip_trace 12 in
   Alcotest.(check bool) "different seed: different trace" true (log1 <> log2)
 
+(* The node's counters live in its registry: one message in, one rule
+   firing, one message out. The CPU and memory proxies are computed
+   from registry snapshots by the engine. *)
 let test_metrics () =
-  let m = Sim.Metrics.create () in
-  Sim.Metrics.charge m 10.;
-  Sim.Metrics.message_tx m ~bytes:100;
-  Sim.Metrics.message_rx m;
-  Sim.Metrics.tuple_created m;
-  Sim.Metrics.rule_executed m;
-  Alcotest.(check int) "tx" 1 (Sim.Metrics.messages_tx m);
-  Alcotest.(check int) "rx" 1 (Sim.Metrics.messages_rx m);
-  Alcotest.(check int) "bytes" 100 (Sim.Metrics.bytes_tx m);
-  Alcotest.(check int) "tuples" 1 (Sim.Metrics.tuples_created m);
-  Alcotest.(check int) "rules" 1 (Sim.Metrics.rule_executions m);
-  Alcotest.(check bool) "work includes marshal" true (Sim.Metrics.work m > 10.);
-  (* cpu proxy: one second's full budget over 100 s = 1% *)
+  let module Node = P2_runtime.Node in
+  let module Engine = P2_runtime.Engine in
+  let node = Node.create ~addr:"a" ~rng:(Sim.Rng.create 1) () in
+  Node.install_text node "r1 pong@b(X) :- ping@a(X).";
+  Node.receive node ~bytes:100 ~src:"b" ~src_tuple_id:7 ~delete:false ~name:"ping"
+    ~fields:[ Overlog.Value.VAddr "a"; Overlog.Value.VInt 1 ]
+    ();
+  let reg name = Option.get (Metrics.value (Node.registry node) name) in
+  Alcotest.(check (float 0.)) "tx" 1. (reg "net.msgs_tx");
+  Alcotest.(check (float 0.)) "rx" 1. (reg "net.msgs_rx");
+  Alcotest.(check (float 0.)) "bytes" 100. (reg "net.bytes_rx");
+  Alcotest.(check (float 0.)) "tuples" 2. (reg "node.tuples_created");
+  Alcotest.(check (float 0.)) "rules" 1. (reg "node.rule_executions");
+  Alcotest.(check bool) "work includes marshal" true (reg "node.work_units" > 40.);
+  (* cpu proxy: one second's full budget (43 000 units) over 100 s = 1% *)
+  let snap ~time ~work ~live_tuples ~live_bytes =
+    { Engine.time; work; messages_tx = 0; messages_rx = 0; live_tuples; live_bytes }
+  in
   Alcotest.(check (float 1e-9)) "cpu percent" 1.
-    (Sim.Metrics.cpu_percent
-       ~work:Sim.Metrics.budget_units_per_second ~seconds:100.);
+    (Engine.cpu_percent
+       ~before:(snap ~time:0. ~work:0. ~live_tuples:0 ~live_bytes:0)
+       ~after:(snap ~time:100. ~work:43_000. ~live_tuples:0 ~live_bytes:0));
   Alcotest.(check bool) "memory grows with tuples" true
-    (Sim.Metrics.memory_mb ~live_tuples:1000 ~live_bytes:100_000
-    > Sim.Metrics.memory_mb ~live_tuples:0 ~live_bytes:0)
-
-let test_stddev () =
-  Alcotest.(check (float 1e-9)) "mean" 2. (Sim.Metrics.mean [ 1.; 2.; 3. ]);
-  Alcotest.(check (float 1e-6)) "stddev" 0.816497 (Sim.Metrics.stddev [ 1.; 2.; 3. ]);
-  Alcotest.(check (float 0.)) "empty" 0. (Sim.Metrics.mean [])
+    (Engine.memory_mb (snap ~time:0. ~work:0. ~live_tuples:1000 ~live_bytes:100_000)
+    > Engine.memory_mb (snap ~time:0. ~work:0. ~live_tuples:0 ~live_bytes:0))
 
 let () =
   Alcotest.run "sim"
@@ -323,9 +327,5 @@ let () =
           Alcotest.test_case "same seed, same run" `Quick test_engine_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_engine_seed_sensitivity;
         ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counters" `Quick test_metrics;
-          Alcotest.test_case "stats" `Quick test_stddev;
-        ] );
+      ("metrics", [ Alcotest.test_case "counters" `Quick test_metrics ]);
     ]

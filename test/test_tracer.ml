@@ -154,6 +154,29 @@ let register tr id =
     (Tuple.make ~id "x" [ Value.VAddr "n"; Value.VInt id ])
     ~src:"n" ~src_id:id ~dst:"n"
 
+(* A tuple no ruleExec row cites has no reference count, so its memo
+   entry must leave with its tupleTable row; a cited tuple outlives
+   its row until its last citing ruleExec row goes. *)
+let test_uncited_memo_reclaimed () =
+  let config =
+    { Tracer.default_config with rule_exec_lifetime = 100.; tuple_table_lifetime = 10. }
+  in
+  let tr, now = mk_tracer ~config () in
+  List.iter (register tr) [ 1; 2; 3 ];
+  link tr ~cause:1 ~effect:2;
+  now := 20.;
+  Alcotest.(check int) "tupleTable rows expired" 0
+    (Store.Table.size (Tracer.tuple_table tr) ~now:!now);
+  Alcotest.(check bool) "uncited tuple reclaimed" true (Tracer.resolve tr 3 = None);
+  Alcotest.(check bool) "cited cause kept" true (Tracer.resolve tr 1 <> None);
+  Alcotest.(check bool) "cited effect kept" true (Tracer.resolve tr 2 <> None);
+  now := 200.;
+  Alcotest.(check int) "ruleExec expired" 0
+    (Store.Table.size (Tracer.rule_exec_table tr) ~now:!now);
+  Alcotest.(check bool) "cited tuples go with their last row" true
+    (Tracer.resolve tr 1 = None && Tracer.resolve tr 2 = None);
+  Alcotest.(check int) "nothing left" 0 (Tracer.live_bytes tr ~now:!now)
+
 (* Exactly the ids in [alive] keep their tupleTable row and memo entry. *)
 let check_alive tr ~now ~ids alive what =
   List.iter
@@ -316,7 +339,6 @@ let test_ground_truth_matches () =
           t);
       emit = (fun ~delete:_ _ -> ());
       charge = (fun _ -> ());
-      rule_executed = (fun () -> ());
       tracer = Some tr;
     }
   in
@@ -381,6 +403,8 @@ let () =
         [
           Alcotest.test_case "tupleTable + refcount" `Quick test_tuple_table_and_refcount;
           Alcotest.test_case "reclaim on every exit" `Quick test_reclaim_every_exit;
+          Alcotest.test_case "uncited memo entry leaves with its row" `Quick
+            test_uncited_memo_reclaimed;
           Alcotest.test_case "live bytes running total" `Quick
             test_live_bytes_running_total;
           Alcotest.test_case "disabled is free" `Quick test_disabled_tracer_is_free;

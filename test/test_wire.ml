@@ -330,6 +330,80 @@ let prop_batch_roundtrip =
       && List.length ms = List.length items
       && List.for_all2 check_message items ms)
 
+(* --- mutation: damaged frames decode or raise Wire.Error --- *)
+
+type mutation =
+  | Flip of int * int  (* byte index (mod length), bit *)
+  | Truncate of int  (* keep a prefix of this length (mod length + 1) *)
+  | Lying_count  (* make it a batch claiming 0xFFFF items *)
+  | Splice of int * string * int
+      (* a prefix of this frame, then another valid frame from an offset *)
+
+let gen_valid_frame =
+  let open QCheck.Gen in
+  let tuple =
+    map3
+      (fun name fields id -> Tuple.make ~id ("t" ^ name) fields)
+      (string_size ~gen:(char_range 'a' 'z') (int_range 1 6))
+      (list_size (int_bound 4) gen_edge_value)
+      (int_bound 0xffff)
+  in
+  let header = pair (int_bound 0xffffffff) (int_bound 0xffffffff) in
+  oneof
+    [
+      map3 (fun t delete (seq, ack) -> Wire.encode ~delete ~seq ~ack t) tuple bool header;
+      map2
+        (fun items (seq, ack) -> Wire.encode_batch ~seq ~ack items)
+        (list_size (int_bound 4) (pair bool tuple))
+        header;
+      map (fun ack -> Wire.encode_ack ~ack) (int_bound 0xffffffff);
+      map (fun ack -> Wire.encode_heartbeat ~ack) (int_bound 0xffffffff);
+    ]
+
+let apply_mutation frame = function
+  | Flip (i, bit) when frame <> "" ->
+      let b = Bytes.of_string frame in
+      let i = i mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      Bytes.to_string b
+  | Flip _ -> frame
+  | Truncate n -> String.sub frame 0 (n mod (String.length frame + 1))
+  | Lying_count when String.length frame >= 12 ->
+      let b = Bytes.of_string frame in
+      Bytes.set b 1 '\x03';
+      Bytes.set b 10 '\xff';
+      Bytes.set b 11 '\xff';
+      Bytes.to_string b
+  | Lying_count -> frame
+  | Splice (i, other, j) ->
+      String.sub frame 0 (i mod (String.length frame + 1))
+      ^ String.sub other (j mod (String.length other + 1))
+          (String.length other - (j mod (String.length other + 1)))
+
+let arb_mutated_frame =
+  let open QCheck.Gen in
+  let mutation =
+    frequency
+      [
+        (4, map2 (fun i bit -> Flip (i, bit)) nat (int_bound 7));
+        (2, map (fun n -> Truncate n) nat);
+        (1, return Lying_count);
+        (2, map3 (fun i other j -> Splice (i, other, j)) nat gen_valid_frame nat);
+      ]
+  in
+  QCheck.make ~print:String.escaped
+    (map2 (List.fold_left apply_mutation) gen_valid_frame
+       (list_size (int_range 1 4) mutation))
+
+let prop_mutated_frames_fail_typed =
+  QCheck.Test.make ~name:"mutated frames decode or raise Wire.Error" ~count:5000
+    arb_mutated_frame (fun frame ->
+      match Wire.decode frame with
+      | _ -> true
+      | exception Wire.Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "Wire.decode raised %s" (Printexc.to_string e))
+
 let test_batch_transport_unbatches_in_order () =
   let tr = make_transport () in
   let delivered = ref [] in
@@ -420,6 +494,7 @@ let () =
             test_batch_singleton_and_empty;
           Alcotest.test_case "malformed" `Quick test_batch_malformed;
           QCheck_alcotest.to_alcotest prop_batch_roundtrip;
+          QCheck_alcotest.to_alcotest prop_mutated_frames_fail_typed;
         ] );
       ( "transport",
         [
