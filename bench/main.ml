@@ -1,34 +1,34 @@
-(* Benchmark harness: regenerates every measurement in the paper's
-   evaluation (§4) — the in-text execution-logging overhead (E0) and
-   Figures 4–7 — followed by ablations, a join micro-benchmark for the
-   store's secondary-index layer, and Bechamel micro-benchmarks of the
-   engine primitives.
+(* Benchmark harness for the paper's evaluation (§4): the in-text
+   execution-logging overhead (E0), Figures 4–7, the Chord and tracing
+   ablations, the proxy rows of the transport and flight-recorder
+   sections, and the four regression gates CI runs. Wall-clock
+   measurement of the real code path, layer by layer, is perfbench's
+   job (perfbench/README.md); this harness keeps the paper-comparison
+   proxies and the gates.
 
    Each paper experiment runs the same workload as the paper on the
    simulated substrate: a 21-node P2 Chord (fix fingers every 10 s,
    stabilize every 5 s, ping every 5 s), the measured node being the
    last to join, three seeded runs per data point (mean, stddev).
    CPU%% and memory are the calibrated proxies described in DESIGN.md
-   §3; messages and live tuples are counted directly.  The join
-   micro-benchmark is the exception: it times real host CPU seconds,
-   because the work-unit cost model charges per rule firing and is
-   blind to how fast the firing actually ran.
+   §3 (JSON keys [cpu_proxy_pct_*] and [mem_proxy_mb_*]); messages and
+   live tuples are counted directly.
 
    Usage:
-     main.exe [--only e0,fig4,fig5,fig6,fig7,chord,tracing,stats,analysis,transport,
-                      seminaive,scaling,join,micro]
+     main.exe [--only e0,fig4,fig5,fig6,fig7,chord,tracing,transport,
+                      forensics,seminaive,scaling,recovery,join]
               [--json PATH] [--check-speedup N] [--check-seminaive N]
-              [--check-scaling R]
+              [--check-scaling R] [--check-recovery]
 
-   --json writes every measurement to PATH as machine-readable JSON;
-   --check-speedup exits nonzero unless the join micro-benchmark's
-   indexed-vs-scan speedup is at least N; --check-seminaive exits
-   nonzero unless semi-naive evaluation ships at least N x fewer
-   tuples than the naive ablation on the transitive-closure workload;
-   --check-scaling exits nonzero unless the sharded engine at 4 shards
-   simulates at least R x the node-seconds-per-second of 1 shard on
-   the scaling ring (all three are CI regression gates; the scaling
-   gate needs a multicore host). *)
+   --json writes every measurement to PATH as machine-readable JSON.
+   The gates exit nonzero unless: the join section's indexed probe is
+   at least N x faster than the full scan (--check-speedup); naive
+   evaluation ships at least N x the tuples semi-naive does on the
+   transitive closure (--check-seminaive); 4 shards simulate at least
+   R x the node-seconds per second of 1 shard on the scaling ring
+   (--check-scaling, meaningful on a multicore host only); a
+   checkpointed restart converges in strictly fewer probe ticks than a
+   cold rejoin (--check-recovery). *)
 
 let nodes = 21
 let settle = 150.  (* virtual seconds before measuring *)
@@ -108,7 +108,9 @@ let write_json path =
                (* the host the numbers came from *)
                ("ocaml_version", Str Sys.ocaml_version);
                ("word_size", Int Sys.word_size);
-               ("recommended_domains", Int (Domain.recommended_domain_count ()));
+               (* online CPUs, as the runtime counts them *)
+               ("host_cores", Int (Domain.recommended_domain_count ()));
+               ("pool_workers", Int (P2_runtime.Pool.size ()));
              ] );
          ("sections", Obj (List.rev !results));
        ]);
@@ -177,7 +179,7 @@ let row label
   pending_rows :=
     ( label,
       Obj
-        (stat "cpu_pct" cpu @ stat "mem_mb" mem @ stat "msgs" msgs
+        (stat "cpu_proxy_pct" cpu @ stat "mem_proxy_mb" mem @ stat "msgs" msgs
        @ stat "live_tuples" live) )
     :: !pending_rows
 
@@ -334,105 +336,19 @@ let bench_ablation_tracing () =
   row "traced: all" all_nodes;
   rows_json "tracing_ablation"
 
-(* --- Runtime self-metrics snapshot --- *)
-
-(* Not a timing benchmark: records the landmark node's full metric
-   registry after a settled ring, so CI artifacts carry the runtime's
-   own vital signs next to the paper-figure numbers (and regressions
-   in e.g. agenda depth or message counts are diffable). *)
-let bench_stats () =
-  header "Runtime self-metrics (p2Stats source)"
-    "(registry snapshot of the landmark node after a settled 8-node ring)";
-  let engine = P2_runtime.Engine.create ~seed:1 () in
-  let net = Chord.boot engine 8 in
-  P2_runtime.P2stats.attach ~period:5. engine;
-  P2_runtime.Engine.run_for engine 120.;
-  let node = P2_runtime.Engine.node engine net.Chord.landmark in
-  let samples = Metrics.snapshot (P2_runtime.Node.registry node) in
-  List.iter
-    (fun (s : Metrics.sample) ->
-      match s.name with
-      | "machine.agenda.depth_max" | "machine.agenda.executed" | "net.msgs_tx"
-      | "store.inserts" | "store.tables" ->
-          Fmt.pr "  %-28s %.0f@." s.name s.value
-      | _ -> ())
-    samples;
-  record "stats"
-    (Obj (List.map (fun (s : Metrics.sample) -> (s.name, Num s.value)) samples))
-
-(* --- Static analysis cost (the p2ql check / explain passes) --- *)
-
-(* Host microseconds, not the work-unit proxy: the analyzer runs at
-   install time on the real CPU, so its price is wall-clock. The
-   cascade/cost pass is timed both inside the full analyzer and alone
-   ([Analysis.Cascade.build], what [p2ql explain] runs per program). *)
-let bench_analysis () =
-  header "Static analysis (p2ql check / explain)"
-    "(host us per rule over the embedded corpus; install-time budget)";
-  let corpus =
-    List.map
-      (fun (_, libs, src) ->
-        (Core.Registry.env_of_libs libs, Overlog.Parser.parse src))
-      Core.Registry.embedded
-  in
-  let rules =
-    List.fold_left
-      (fun acc (_, p) ->
-        acc
-        + List.length
-            (List.filter (function Overlog.Ast.Rule _ -> true | _ -> false) p))
-      0 corpus
-  in
-  let time f =
-    f ();  (* warm *)
-    let reps = 20 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let full =
-    time (fun () -> List.iter (fun (env, p) -> ignore (Analysis.analyze ~env p)) corpus)
-  in
-  let cascade =
-    time (fun () ->
-        List.iter (fun (env, p) -> ignore (Analysis.Cascade.build ~env p)) corpus)
-  in
-  let per_rule t = t *. 1e6 /. float_of_int rules in
-  Fmt.pr "  programs: %d   rules: %d@." (List.length corpus) rules;
-  Fmt.pr "  full analyze:   %8.1f us total   %6.2f us/rule@." (full *. 1e6)
-    (per_rule full);
-  Fmt.pr "  cascade alone:  %8.1f us total   %6.2f us/rule@." (cascade *. 1e6)
-    (per_rule cascade);
-  record "analysis"
-    (Obj
-       [
-         ("programs", Int (List.length corpus));
-         ("rules", Int rules);
-         ("analyze_total_us", Num (full *. 1e6));
-         ("analyze_us_per_rule", Num (per_rule full));
-         ("cascade_total_us", Num (cascade *. 1e6));
-         ("cascade_us_per_rule", Num (per_rule cascade));
-       ])
-
 (* --- Reliable transport under loss --- *)
 
-(* The PR-5 reliability ablation: an 8-node ring booted under uniform
-   loss, transport on vs off, same seed and horizon. Retransmissions
-   and suppressed duplicates are summed over every node's endpoint;
-   the wall-clock is real host seconds for the settle (the transport's
-   timer traffic is the overhead being priced). *)
+(* The reliability ablation: an 8-node ring booted under uniform loss,
+   transport on vs off, same seed and horizon. Retransmissions and
+   suppressed duplicates are summed over every node's endpoint. *)
 let bench_transport () =
   header "Reliable transport under loss"
     "(8-node ring, 240 s settle; ring converges at 20 % loss only with \
      ack/retransmit on)";
   let arm ~reliable ~loss =
-    let t0 = Sys.time () in
     let engine = P2_runtime.Engine.create ~seed:1 ~loss_rate:loss ~reliable () in
     let net = Chord.boot engine 8 in
     P2_runtime.Engine.run_for engine 240.;
-    let wall = Sys.time () -. t0 in
     let retx, dups =
       List.fold_left
         (fun (r, d) addr ->
@@ -443,10 +359,9 @@ let bench_transport () =
     in
     let ok = Chord.ring_correct net in
     Fmt.pr
-      "  %-9s loss=%3.0f%%  retransmits=%-6d duplicates=%-5d ring_correct=%-5b \
-       wall=%6.2fs@."
+      "  %-9s loss=%3.0f%%  retransmits=%-6d duplicates=%-5d ring_correct=%b@."
       (if reliable then "reliable" else "ablated")
-      (100. *. loss) retx dups ok wall;
+      (100. *. loss) retx dups ok;
     Obj
       [
         ("reliable", Int (if reliable then 1 else 0));
@@ -454,7 +369,6 @@ let bench_transport () =
         ("retransmits", Int retx);
         ("duplicates", Int dups);
         ("ring_correct", Int (if ok then 1 else 0));
-        ("wall_s", Num wall);
       ]
   in
   (* bind in display order: list elements would evaluate right-to-left *)
@@ -466,17 +380,17 @@ let bench_transport () =
 
 (* --- Semi-naive vs naive evaluation on transitive closure --- *)
 
-(* The PR-6 evaluation ablation: a distributed transitive closure over
-   a fixed digraph (Hamiltonian cycle plus skip-3 chords), edges
-   injected staggered so every arrival is an incremental delta. Three
-   arms, same seed and schedule: naive full-body re-enumeration,
-   semi-naive delta evaluation, and semi-naive with cross-node delta
-   batching. Messages are logical tuple shipments (counted at emit, so
-   framing cannot hide them); frames are transport.tx.frames summed
-   over all endpoints; ns/event is real host time over injected edges
-   (the work-unit model cannot see evaluation-strategy savings). The
-   [--check-seminaive N] gate fails unless naive ships at least N x
-   the tuples semi-naive does. *)
+(* The evaluation ablation: a distributed transitive closure over a
+   fixed digraph (Hamiltonian cycle plus skip-3 chords), edges injected
+   staggered so every arrival is an incremental delta. Two arms, same
+   seed and schedule: the shipping pipeline (semi-naive with delta
+   batching) and the naive control (full-body re-enumeration, one
+   frame per tuple). Messages are logical tuple shipments (counted at
+   emit, so framing cannot hide them); frames are transport.tx.frames
+   summed over all endpoints. The [--check-seminaive N] gate fails
+   unless naive ships at least N x the tuples semi-naive does. A live
+   8-node Chord ring prices the same pipeline on the real protocol's
+   maintenance traffic. *)
 
 let tc_nodes = 10
 
@@ -490,19 +404,34 @@ let tc_edges =
   List.init tc_nodes (fun i -> (i, (i + 1) mod tc_nodes))
   @ List.init tc_nodes (fun i -> (i, (i + 3) mod tc_nodes))
 
+(* Logical shipments and transport frame/batch counts, summed over the
+   engine's nodes. *)
+let traffic engine =
+  let addrs = P2_runtime.Engine.addrs engine in
+  let metric name =
+    List.fold_left
+      (fun acc a ->
+        let reg = P2_runtime.Node.registry (P2_runtime.Engine.node engine a) in
+        acc + int_of_float (Option.value ~default:0. (Metrics.value reg name)))
+      0 addrs
+  in
+  (metric "net.msgs_tx", metric "transport.tx.frames", metric "transport.tx.batches")
+
+let traffic_row label (msgs, frames, batches) extra =
+  ( label,
+    Obj
+      ([ ("msgs", Int msgs); ("frames", Int frames); ("batches", Int batches) ]
+      @ extra) )
+
 let bench_seminaive check =
   header "Semi-naive delta evaluation vs naive re-enumeration"
     (Fmt.str
        "(%d-node transitive closure, %d edges; semi-naive must ship strictly \
-        fewer tuples, batching strictly fewer frames)"
+        fewer tuples)"
        tc_nodes (List.length tc_edges));
-  let arm ~label ~mode =
-    let t0 = Sys.time () in
+  let arm ~label ~naive =
     let engine = P2_runtime.Engine.create ~seed:1 () in
-    (match mode with
-    | `Naive -> P2_runtime.Engine.set_seminaive engine false
-    | `Semi -> ()
-    | `Semi_batched -> P2_runtime.Engine.set_seminaive engine true);
+    if naive then P2_runtime.Engine.set_seminaive engine false;
     for i = 0 to tc_nodes - 1 do
       ignore (P2_runtime.Engine.add_node engine (Fmt.str "n%d" i))
     done;
@@ -518,84 +447,25 @@ let bench_seminaive check =
       tc_edges;
     P2_runtime.Engine.run_until engine
       (60. +. (0.5 *. float_of_int (List.length tc_edges)));
-    let wall = Sys.time () -. t0 in
-    let addrs = P2_runtime.Engine.addrs engine in
-    let msgs =
-      List.fold_left
-        (fun acc a ->
-          acc + (P2_runtime.Engine.snapshot_node engine a).P2_runtime.Engine.messages_tx)
-        0 addrs
-    in
-    let metric name =
-      List.fold_left
-        (fun acc a ->
-          let reg = P2_runtime.Node.registry (P2_runtime.Engine.node engine a) in
-          acc +. Option.value ~default:0. (Metrics.value reg name))
-        0. addrs
-    in
-    let frames = int_of_float (metric "transport.tx.frames") in
-    let batches = int_of_float (metric "transport.tx.batches") in
-    let ns_per_event = wall /. float_of_int (List.length tc_edges) *. 1e9 in
-    Fmt.pr "  %-12s msgs=%-5d frames=%-5d batches=%-4d %10.0f ns/event@." label
-      msgs frames batches ns_per_event;
-    ( msgs,
-      ( label,
-        Obj
-          [
-            ("msgs", Int msgs);
-            ("frames", Int frames);
-            ("batches", Int batches);
-            ("ns_per_event", Num ns_per_event);
-          ] ) )
+    let ((msgs, frames, batches) as t) = traffic engine in
+    Fmt.pr "  %-12s msgs=%-5d frames=%-5d batches=%d@." label msgs frames batches;
+    (msgs, traffic_row label t [])
   in
-  let naive_msgs, naive_row = arm ~label:"naive" ~mode:`Naive in
-  let semi_msgs, semi_row = arm ~label:"semi" ~mode:`Semi in
-  let _, batch_row = arm ~label:"semi+batch" ~mode:`Semi_batched in
+  let naive_msgs, naive_row = arm ~label:"naive" ~naive:true in
+  let semi_msgs, semi_row = arm ~label:"semi" ~naive:false in
   let reduction = float_of_int naive_msgs /. float_of_int (max 1 semi_msgs) in
   Fmt.pr "  message reduction: x%.2f@." reduction;
-  (* The same batching toggle priced on the real protocol: a live
-     Chord ring's maintenance traffic (stabilize/ping/fix-fingers),
-     batching on vs off, same seed and horizon. Messages are logical
-     shipments and must agree exactly — batching only packs frames. *)
-  let chord_arm ~label ~batched =
+  let chord_row =
     let engine = P2_runtime.Engine.create ~seed:1 () in
-    if batched then P2_runtime.Engine.set_seminaive engine true;
     let net = Chord.boot engine 8 in
     P2_runtime.Engine.run_for engine 240.;
-    let addrs = P2_runtime.Engine.addrs engine in
-    let msgs =
-      List.fold_left
-        (fun acc a ->
-          acc + (P2_runtime.Engine.snapshot_node engine a).P2_runtime.Engine.messages_tx)
-        0 addrs
-    in
-    let frames =
-      int_of_float
-        (List.fold_left
-           (fun acc a ->
-             let reg = P2_runtime.Node.registry (P2_runtime.Engine.node engine a) in
-             acc
-             +. Option.value ~default:0.
-                  (Metrics.value reg "transport.tx.frames"))
-           0. addrs)
-    in
+    let ((msgs, frames, batches) as t) = traffic engine in
     let ok = Chord.ring_correct net in
-    Fmt.pr "  chord %-9s msgs=%-6d frames=%-6d ring_correct=%b@." label msgs
-      frames ok;
-    ( msgs,
-      ( label,
-        Obj
-          [
-            ("msgs", Int msgs);
-            ("frames", Int frames);
-            ("ring_correct", Int (if ok then 1 else 0));
-          ] ) )
+    Fmt.pr "  chord (8 nodes, 240 s) msgs=%-6d frames=%-6d batches=%-5d \
+            ring_correct=%b@."
+      msgs frames batches ok;
+    traffic_row "chord" t [ ("ring_correct", Int (if ok then 1 else 0)) ]
   in
-  let plain_msgs, chord_plain = chord_arm ~label:"plain" ~batched:false in
-  let batched_msgs, chord_batched = chord_arm ~label:"batched" ~batched:true in
-  if plain_msgs <> batched_msgs then
-    Fmt.epr "  WARNING: chord batching changed logical shipments (%d vs %d)@."
-      plain_msgs batched_msgs;
   record "seminaive"
     (Obj
        [
@@ -603,9 +473,8 @@ let bench_seminaive check =
          ("edges", Int (List.length tc_edges));
          naive_row;
          semi_row;
-         batch_row;
          ("msg_reduction", Num reduction);
-         ("chord", Obj [ chord_plain; chord_batched ]);
+         chord_row;
        ]);
   match check with
   | Some floor when reduction < floor ->
@@ -618,17 +487,14 @@ let bench_seminaive check =
 
 (* --- Scaling: the multicore sharded engine --- *)
 
-(* The PR-7 scaling benchmark: a 256-node Chord ring booted and run
-   for 60 virtual seconds under each execution engine, same seed.
-   Rate is node-virtual-seconds simulated per wall second
-   (N x horizon / wall); allocs/event is the [Gc.minor_words] delta
-   over [Engine.events_handled] — the allocation budget of the tuple
-   hot path. Every shard count is bit-for-bit deterministic, so the
-   message totals must agree exactly; the 1-shard arm is the
-   allocation baseline. The [--check-scaling R] gate fails
-   unless 4 shards reach at least R x the 1-shard rate — meaningful
-   only on a multicore host (a single-core pool runs every shard job
-   on the caller, so the gate would price pure barrier overhead). *)
+(* A 256-node Chord ring booted and run for 60 virtual seconds at 1, 2
+   and 4 shards, same seed. Rate is node-virtual-seconds simulated per
+   wall second (N x horizon / wall). Every shard count is bit-for-bit
+   deterministic, so the message totals must agree exactly. The
+   [--check-scaling R] gate fails unless 4 shards reach at least R x
+   the 1-shard rate — meaningful only on a multicore host (a
+   single-core pool runs every shard job on the caller, so the gate
+   would price pure barrier overhead). *)
 
 let scaling_nodes = 256
 let scaling_horizon = 60.
@@ -637,12 +503,6 @@ let scaling_horizon = 60.
    barrier without giving up cross-shard-count determinism. *)
 let scaling_quantum = 0.05
 
-(* Allocation budget of the event-loop hot path at the growth seed
-   (commit b004cbc), measured with this arm's exact workload before
-   the match/probe/group-key rewrites — kept so the JSON carries the
-   before/after pair for the allocs-per-event regression story. *)
-let seed_allocs_per_event = 878.4
-
 let bench_scaling check =
   header "Scaling: sharded engine on a 256-node Chord ring"
     (Fmt.str
@@ -650,29 +510,20 @@ let bench_scaling check =
         wall second)"
        scaling_horizon (1000. *. scaling_quantum));
   let arm shards =
-    Gc.compact ();
-    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let engine = P2_runtime.Engine.create ~seed:1 () in
     P2_runtime.Engine.set_shards ~quantum:scaling_quantum engine shards;
     let net = Chord.boot engine scaling_nodes in
     P2_runtime.Engine.run_for engine scaling_horizon;
     let wall = Unix.gettimeofday () -. t0 in
-    let words = Gc.minor_words () -. w0 in
     let events = P2_runtime.Engine.events_handled engine in
-    let msgs =
-      List.fold_left
-        (fun acc a ->
-          acc + (P2_runtime.Engine.snapshot_node engine a).P2_runtime.Engine.messages_tx)
-        0 net.Chord.addrs
-    in
+    let msgs, _, _ = traffic engine in
     let rate = float_of_int scaling_nodes *. scaling_horizon /. wall in
-    let allocs = words /. float_of_int (max 1 events) in
     let ok = Chord.ring_correct net in
     Fmt.pr
-      "  shards=%d  %8.0f node-s/s  wall=%6.2fs  events=%-8d allocs/event=%6.1f \
-       msgs=%-7d ring_correct=%b@."
-      shards rate wall events allocs msgs ok;
+      "  shards=%d  %8.0f node-s/s  wall=%6.2fs  events=%-8d msgs=%-7d \
+       ring_correct=%b@."
+      shards rate wall events msgs ok;
     pending_rows :=
       ( Fmt.str "shards=%d" shards,
         Obj
@@ -680,16 +531,15 @@ let bench_scaling check =
             ("rate_node_s_per_s", Num rate);
             ("wall_s", Num wall);
             ("events", Int events);
-            ("allocs_per_event", Num allocs);
             ("msgs", Int msgs);
             ("ring_correct", Int (if ok then 1 else 0));
           ] )
       :: !pending_rows;
-    (rate, allocs, msgs)
+    (rate, msgs)
   in
-  let rate1, allocs1, msgs1 = arm 1 in
-  let _, _, msgs2 = arm 2 in
-  let rate4, _, msgs4 = arm 4 in
+  let rate1, msgs1 = arm 1 in
+  let _, msgs2 = arm 2 in
+  let rate4, msgs4 = arm 4 in
   if msgs1 <> msgs2 || msgs1 <> msgs4 then begin
     Fmt.epr
       "FAIL: sharded runs disagree on messages (1:%d 2:%d 4:%d) — determinism \
@@ -700,18 +550,7 @@ let bench_scaling check =
   let speedup = rate4 /. Float.max 1e-9 rate1 in
   Fmt.pr "  pool workers: %d   shards=4 vs shards=1 speedup: x%.2f@."
     (P2_runtime.Pool.size ()) speedup;
-  Fmt.pr "  allocs/event: %.1f (seed baseline %.1f, %+.1f%%)@." allocs1
-    seed_allocs_per_event
-    (100. *. (allocs1 -. seed_allocs_per_event) /. seed_allocs_per_event);
-  pending_rows :=
-    ( "summary",
-      Obj
-        [
-          ("speedup_4v1", Num speedup);
-          ("pool_workers", Int (P2_runtime.Pool.size ()));
-          ("seed_allocs_per_event", Num seed_allocs_per_event);
-        ] )
-    :: !pending_rows;
+  pending_rows := ("summary", Obj [ ("speedup_4v1", Num speedup) ]) :: !pending_rows;
   rows_json "scaling";
   match check with
   | Some floor when speedup < floor ->
@@ -801,133 +640,7 @@ let bench_join check_speedup =
   | Some floor -> Fmt.pr "  check: x%.1f >= required x%.1f — ok@." speedup floor
   | None -> ()
 
-(* --- Bechamel micro-benchmarks of the engine primitives --- *)
-
-let microbenches () =
-  let open Bechamel in
-  let open Toolkit in
-  Fmt.pr "@.=== Micro-benchmarks (Bechamel, ns/op) ===@.";
-  let chord_text = Chord.program Chord.default_params in
-  let parse_test =
-    Test.make ~name:"parse-chord-program"
-      (Staged.stage (fun () -> ignore (Overlog.Parser.parse chord_text)))
-  in
-  let eval_test =
-    let env =
-      Overlog.Eval.Env.bind
-        (Overlog.Eval.Env.bind Overlog.Eval.Env.empty "K" (Overlog.Value.VId 50))
-        "F" (Overlog.Value.VId 7)
-    in
-    let e =
-      match
-        Overlog.Parser.parse "r x@N(D) :- e@N(K, F), D := K - F - 1, D in (1, 100]."
-      with
-      | [ Overlog.Ast.Rule { rbody = [ _; Overlog.Ast.Assign (_, e); _ ]; _ } ] -> e
-      | _ -> assert false
-    in
-    Test.make ~name:"eval-ring-expression"
-      (Staged.stage (fun () ->
-           ignore (Overlog.Eval.eval Overlog.Eval.null_context env e)))
-  in
-  let table_test =
-    let table = Store.Table.create ~keys:[ 1; 2 ] ~max_size:1024 "bench" in
-    let i = ref 0 in
-    Test.make ~name:"table-insert-replace"
-      (Staged.stage (fun () ->
-           incr i;
-           ignore
-             (Store.Table.insert table ~now:0.
-                (Overlog.Tuple.make "bench"
-                   [ Overlog.Value.VAddr "n"; Overlog.Value.VInt (!i mod 512) ]))))
-  in
-  (* store-level view of the join speedup: one indexed probe vs one
-     naive scan of the same 1024-row table *)
-  let probe_table =
-    let table = Store.Table.create ~keys:[ 1; 2 ] "bench2" in
-    for i = 0 to 1023 do
-      ignore
-        (Store.Table.insert table ~now:0.
-           (Overlog.Tuple.make "bench2"
-              [ Overlog.Value.VAddr "n"; Overlog.Value.VInt i; Overlog.Value.VInt (i * 3) ]))
-    done;
-    table
-  in
-  let probe_test =
-    let i = ref 0 in
-    Test.make ~name:"probe-1k-indexed"
-      (Staged.stage (fun () ->
-           incr i;
-           ignore
-             (Store.Table.probe probe_table ~now:0. ~positions:[ 2 ]
-                ~values:[ Overlog.Value.VInt (!i mod 1024) ])))
-  in
-  let scan_test =
-    let i = ref 0 in
-    Test.make ~name:"scan-1k-naive"
-      (Staged.stage (fun () ->
-           incr i;
-           let want = Overlog.Value.VInt (!i mod 1024) in
-           ignore
-             (List.filter
-                (fun tu -> Overlog.Value.equal (Overlog.Tuple.field tu 2) want)
-                (Store.Table.tuples probe_table ~now:0.))))
-  in
-  let route_test =
-    let engine = P2_runtime.Engine.create ~seed:7 () in
-    ignore (P2_runtime.Engine.add_node engine "a");
-    P2_runtime.Engine.install engine "a"
-      "materialize(t, infinity, 1024, keys(1,2)).\nr t@N(X) :- ev@N(X).";
-    let i = ref 0 in
-    Test.make ~name:"inject-derive-insert"
-      (Staged.stage (fun () ->
-           incr i;
-           ignore @@ P2_runtime.Engine.inject engine "a" "ev"
-             [ Overlog.Value.VInt (!i mod 512) ]))
-  in
-  (* the group-key hot path: each injected event fires an aggregate
-     over 512 rows in 32 groups, so every op hashes 512 group keys
-     (PR 7 replaced string-concatenated keys with Value.hash_values) *)
-  let aggregate_test =
-    let engine = P2_runtime.Engine.create ~seed:7 () in
-    ignore (P2_runtime.Engine.add_node engine "a");
-    P2_runtime.Engine.install engine "a"
-      "materialize(g, infinity, 1024, keys(1,2,3)).\n\
-       ra out@N(G, count<*>) :- ev@N(), g@N(G, X).";
-    for i = 0 to 511 do
-      ignore @@ P2_runtime.Engine.inject engine "a" "g"
-        [ Overlog.Value.VInt (i mod 32); Overlog.Value.VInt i ]
-    done;
-    Test.make ~name:"aggregate-512rows-32groups"
-      (Staged.stage (fun () ->
-           ignore @@ P2_runtime.Engine.inject engine "a" "ev" []))
-  in
-  let grouped =
-    Test.make_grouped ~name:"p2"
-      [
-        parse_test; eval_test; table_test; probe_test; scan_test; route_test;
-        aggregate_test;
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let estimates =
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> (name, est) :: acc
-        | _ -> acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter (fun (name, est) -> Fmt.pr "  %-28s %12.1f ns/op@." name est) estimates;
-  record "micro"
-    (Obj (List.map (fun (name, est) -> (name, Num est)) estimates))
-
-(* --- forensics: the flight recorder (PR 9, docs/FORENSICS.md) --- *)
+(* --- forensics: the flight recorder (docs/FORENSICS.md) --- *)
 
 let fresh_dir =
   let n = ref 0 in
@@ -944,43 +657,6 @@ let rec rm_rf path =
       Sys.rmdir path
     end
     else Sys.remove path
-
-(* Raw segment-log write throughput: how fast trace records reach the
-   disk, independent of the engine. Representative record shapes
-   (a ruleExec row and a medium tuple), default 4 MiB segments. *)
-let bench_seglog_throughput () =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let open Overlog in
-  let w = Seglog.create ~dir () in
-  let rule_exec i =
-    Tuple.make ~id:i "ruleExec"
-      [ Value.VAddr "n12"; Value.VStr "sb5"; Value.VInt i; Value.VInt (i + 1);
-        Value.VFloat 101.25; Value.VFloat 101.3125; Value.VBool true ]
-  in
-  let total = 200_000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to total do
-    Seglog.append w ~stamp:(float_of_int i *. 1e-3) ~delete:false (rule_exec i)
-  done;
-  Seglog.close w;
-  let dt = Unix.gettimeofday () -. t0 in
-  let stats = Seglog.stats w in
-  let records_per_s = float_of_int total /. dt in
-  let mb_per_s = float_of_int stats.Seglog.bytes_written /. dt /. 1048576. in
-  Fmt.pr "  append+flush: %d records, %.1f MB in %.3fs -> %.0f records/s, %.1f MB/s@."
-    total
-    (float_of_int stats.Seglog.bytes_written /. 1048576.)
-    dt records_per_s mb_per_s;
-  Obj
-    [
-      ("records", Int total);
-      ("bytes", Int stats.Seglog.bytes_written);
-      ("segments", Int stats.Seglog.segments_sealed);
-      ("seconds", Num dt);
-      ("records_per_s", Num records_per_s);
-      ("mb_per_s", Num mb_per_s);
-    ]
 
 (* One traced Chord run per seed per arm; the spill arm writes the
    flight-recorder log and keeps only the shrunk in-RAM window. *)
@@ -1000,7 +676,6 @@ let bench_forensics () =
   header "forensics: flight recorder"
     "disk spill trades the tracer's in-RAM window for an on-disk log \
      replayable long after the fact (paper §3.4)";
-  let write = bench_seglog_throughput () in
   let log_root = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf log_root) @@ fun () ->
   let stat f points = Metrics.(mean (List.map f points), stddev (List.map f points)) in
@@ -1018,7 +693,7 @@ let bench_forensics () =
   arm "disk spill" spill;
   let mem points = Metrics.mean (List.map (fun p -> p.mem) points) in
   let drop_pct = 100. *. (1. -. (mem spill /. Float.max 1e-9 (mem in_ram))) in
-  (* on-disk footprint + integrity of what one arm's runs recorded *)
+  (* on-disk footprint of what the spill arm's runs recorded *)
   let log_records, log_bytes =
     List.fold_left
       (fun (recs, bytes) seed_dir ->
@@ -1032,44 +707,28 @@ let bench_forensics () =
       (0, 0)
       (List.map (fun s -> Filename.concat log_root (Fmt.str "seed%d" s)) seeds)
   in
-  Fmt.pr "  resident memory: %.2f -> %.2f MB (%.0f%% drop); log: %d records, %.1f MB@."
+  Fmt.pr
+    "  resident memory proxy: %.2f -> %.2f MB (%.0f%% drop); log: %d records, \
+     %.1f MB@."
     (mem in_ram) (mem spill) drop_pct log_records
     (float_of_int log_bytes /. 1048576.);
-  (* time-travel replay of one recorded run, full range *)
-  let replay_dir = Filename.concat log_root (Fmt.str "seed%d" (List.hd seeds)) in
-  let t0 = Unix.gettimeofday () in
-  let replayed = Core.Replay.load ~dir:replay_dir () in
-  let replay_s = Unix.gettimeofday () -. t0 in
-  let restored =
-    List.fold_left
-      (fun a r -> a + r.Core.Replay.restored)
-      0 replayed.Core.Replay.reports
-  in
-  Fmt.pr "  replay: %d records -> fresh dataflow in %.3fs (%.0f records/s)@."
-    restored replay_s
-    (float_of_int restored /. Float.max 1e-9 replay_s);
   rows_json "forensics_resident";
   record "forensics"
     (Obj
        [
-         ("write_throughput", write);
-         ("mem_in_ram_mb", Num (mem in_ram));
-         ("mem_spill_mb", Num (mem spill));
-         ("mem_drop_pct", Num drop_pct);
+         ("mem_proxy_in_ram_mb", Num (mem in_ram));
+         ("mem_proxy_spill_mb", Num (mem spill));
+         ("mem_proxy_drop_pct", Num drop_pct);
          ("log_records", Int log_records);
          ("log_bytes", Int log_bytes);
-         ("replay_records", Int restored);
-         ("replay_seconds", Num replay_s);
-         ( "replay_records_per_s",
-           Num (float_of_int restored /. Float.max 1e-9 replay_s) );
        ])
 
-(* --- recovery: durable checkpoints + crash-restart (PR 10) --- *)
+(* --- recovery: durable checkpoints + crash-restart --- *)
 
 (* Both arms of the recovery-time differential (lib/harness/recovery):
    the same seeded 21-node crash + partition scenario, once with
-   durable checkpoints armed and once cold. The checkpoint stream cost
-   is the overhead side of the trade; the tick gap is the payoff. *)
+   durable checkpoints armed and once cold. The snapshot stream is the
+   cost side of the trade; the tick gap is the payoff. *)
 let bench_recovery check =
   header "recovery: durable checkpoints + crash-restart"
     "restoring hard state from the newest snapshot must beat a cold \
@@ -1080,16 +739,9 @@ let bench_recovery check =
   let ck = run Harness.Recovery.Checkpointed in
   let cold = run Harness.Recovery.Cold in
   let ticks r = Option.value r.Harness.Recovery.ticks_to_converge ~default:(-1) in
-  let write_s = float_of_int ck.Harness.Recovery.ckpt_write_ns /. 1e9 in
-  let mb = float_of_int ck.Harness.Recovery.ckpt_bytes /. 1048576. in
-  let mb_per_s = mb /. Float.max 1e-9 write_s in
-  let snaps_per_s =
-    float_of_int ck.Harness.Recovery.ckpt_snapshots /. Float.max 1e-9 write_s
-  in
-  Fmt.pr
-    "  checkpoint writes: %d snapshots, %.2f MB in %.3fs -> %.0f snapshots/s, \
-     %.1f MB/s@."
-    ck.Harness.Recovery.ckpt_snapshots mb write_s snaps_per_s mb_per_s;
+  Fmt.pr "  checkpoint writes: %d snapshots, %.2f MB@."
+    ck.Harness.Recovery.ckpt_snapshots
+    (float_of_int ck.Harness.Recovery.ckpt_bytes /. 1048576.);
   Fmt.pr
     "  restart-to-convergence: checkpointed %d tick(s) vs cold rejoin %d \
      tick(s) (probe %gs, %d restored row(s))@."
@@ -1100,8 +752,6 @@ let bench_recovery check =
        [
          ("ckpt_snapshots", Int ck.Harness.Recovery.ckpt_snapshots);
          ("ckpt_bytes", Int ck.Harness.Recovery.ckpt_bytes);
-         ("ckpt_write_seconds", Num write_s);
-         ("ckpt_mb_per_s", Num mb_per_s);
          ("restored_rows", Int ck.Harness.Recovery.restored_rows);
          ("ticks_checkpointed", Int (ticks ck));
          ("ticks_cold", Int (ticks cold));
@@ -1130,6 +780,13 @@ let bench_recovery check =
 
 (* --- driver --- *)
 
+let check_speedup = ref 0.
+let check_seminaive = ref 0.
+let check_scaling = ref 0.
+let check_recovery = ref false
+let gate r = if !r > 0. then Some !r else None
+
+(* In run order, which is also the JSON's section order. *)
 let all_sections =
   [
     ("e0", bench_e0);
@@ -1139,20 +796,17 @@ let all_sections =
     ("fig7", bench_fig7);
     ("chord", bench_ablation_buggy_chord);
     ("tracing", bench_ablation_tracing);
-    ("stats", bench_stats);
-    ("analysis", bench_analysis);
     ("transport", bench_transport);
     ("forensics", bench_forensics);
-    ("micro", microbenches);
+    ("seminaive", fun () -> bench_seminaive (gate check_seminaive));
+    ("scaling", fun () -> bench_scaling (gate check_scaling));
+    ("recovery", fun () -> bench_recovery !check_recovery);
+    ("join", fun () -> bench_join (gate check_speedup));
   ]
 
 let () =
   let json_path = ref "" in
   let only = ref "" in
-  let check = ref 0. in
-  let check_semi = ref 0. in
-  let check_scaling = ref 0. in
-  let check_recovery = ref false in
   let usage =
     "main.exe [--only SECTIONS] [--json PATH] [--check-speedup N] \
      [--check-seminaive N] [--check-scaling R] [--check-recovery]"
@@ -1162,15 +816,13 @@ let () =
       ( "--only",
         Arg.Set_string only,
         "SECTIONS  comma-separated subset of: "
-        ^ String.concat ","
-            (List.map fst all_sections
-            @ [ "seminaive"; "scaling"; "join"; "recovery" ]) );
+        ^ String.concat "," (List.map fst all_sections) );
       ("--json", Arg.Set_string json_path, "PATH  write results as JSON");
       ( "--check-speedup",
-        Arg.Set_float check,
+        Arg.Set_float check_speedup,
         "N  fail unless the join micro-benchmark speedup is >= N" );
       ( "--check-seminaive",
-        Arg.Set_float check_semi,
+        Arg.Set_float check_seminaive,
         "N  fail unless semi-naive's message reduction over naive is >= N" );
       ( "--check-scaling",
         Arg.Set_float check_scaling,
@@ -1182,30 +834,19 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
-  let wanted = String.split_on_char ',' !only in
-  let enabled name = !only = "" || List.mem name wanted in
+  let wanted = if !only = "" then [] else String.split_on_char ',' !only in
   List.iter
     (fun name ->
-      if
-        not
-          (List.mem_assoc name all_sections
-          || name = "join" || name = "seminaive" || name = "scaling"
-          || name = "recovery" || name = "")
-      then (
+      if not (List.mem_assoc name all_sections) then (
         Fmt.epr "unknown section %s@." name;
         exit 2))
-    (if !only = "" then [] else wanted);
+    wanted;
   Fmt.pr "P2 monitoring & forensics — paper evaluation reproduction@.";
   Fmt.pr "(%d-node Chord, settle %.0fs, window %.0fs, seeds %a; see EXPERIMENTS.md)@."
     nodes settle window
     Fmt.(list ~sep:(any ",") int)
     seeds;
-  List.iter (fun (name, f) -> if enabled name then f ()) all_sections;
-  if enabled "seminaive" then
-    bench_seminaive (if !check_semi > 0. then Some !check_semi else None);
-  if enabled "scaling" then
-    bench_scaling (if !check_scaling > 0. then Some !check_scaling else None);
-  if enabled "recovery" then bench_recovery !check_recovery;
-  if enabled "join" then
-    bench_join (if !check > 0. then Some !check else None);
+  List.iter
+    (fun (name, f) -> if wanted = [] || List.mem name wanted then f ())
+    all_sections;
   if !json_path <> "" then write_json !json_path

@@ -292,19 +292,9 @@ let duration_arg =
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Enable execution tracing on all nodes")
 
-(* Evaluation-pipeline selection (PR-6): [--seminaive] turns on
-   cross-node delta batching on top of the default semi-naive
-   evaluation; [--naive] is the ablation — full-body re-enumeration on
-   every table delta, batching off. Neither flag keeps the engine
-   default (semi-naive evaluation, unbatched wire). *)
-let seminaive_arg =
-  Arg.(
-    value & flag
-    & info [ "seminaive" ]
-        ~doc:
-          "Semi-naive delta evaluation with cross-node delta batching \
-           (same-instant shipments to one peer coalesce into single frames)")
-
+(* The one evaluation switch: engines run semi-naive with delta
+   batching; [--naive] is the ablation — full-body re-enumeration on
+   every table delta, batching off. *)
 let naive_arg =
   Arg.(
     value & flag
@@ -400,14 +390,6 @@ let apply_checkpoint engine dir interval =
    simulation, so surface it as a CLI diagnostic instead. *)
 let or_cli_error f = try f () with Invalid_argument msg -> Fmt.epr "p2ql: %s@." msg
 
-let apply_eval_mode engine ~seminaive ~naive =
-  if naive && seminaive then begin
-    Fmt.epr "p2ql: --naive and --seminaive are mutually exclusive@.";
-    exit 2
-  end;
-  if naive then P2_runtime.Engine.set_seminaive engine false
-  else if seminaive then P2_runtime.Engine.set_seminaive engine true
-
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let nodes =
@@ -426,10 +408,10 @@ let run_cmd =
       value & opt (list string) []
       & info [ "dump" ] ~docv:"TABLES" ~doc:"Tables to dump at the end of the run")
   in
-  let action file nodes seed duration trace seminaive naive shards sanitize
+  let action file nodes seed duration trace naive shards sanitize
       trace_log checkpoint checkpoint_interval watches dump =
     let engine = P2_runtime.Engine.create ~seed ~trace () in
-    apply_eval_mode engine ~seminaive ~naive;
+    if naive then P2_runtime.Engine.set_seminaive engine false;
     P2_runtime.Engine.set_shards engine shards;
     apply_sanitize engine sanitize;
     apply_trace_log engine trace_log;
@@ -473,7 +455,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run an OverLog program on a simulated network")
     Term.(
       const action $ file $ nodes $ seed_arg $ duration_arg $ trace_arg
-      $ seminaive_arg $ naive_arg $ shards_arg $ sanitize_arg $ trace_log_arg
+      $ naive_arg $ shards_arg $ sanitize_arg $ trace_log_arg
       $ checkpoint_arg $ checkpoint_interval_arg $ watches $ dump)
 
 (* --- chord --- *)

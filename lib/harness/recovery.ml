@@ -13,7 +13,6 @@ type result = {
   probe_period : float;
   ckpt_bytes : int;
   ckpt_snapshots : int;
-  ckpt_write_ns : int;
 }
 
 (* Scenario timing, relative to the end of settle. The victim reboots
@@ -123,7 +122,6 @@ let measure ?(nodes = 21) ?(seed = 11) ?(shards = 1) ?(sanitize = false)
   in
   let ckpt_bytes = metric "ckpt.bytes" in
   let ckpt_snapshots = metric "ckpt.snapshots" in
-  let ckpt_write_ns = metric "ckpt.write_ns" in
   Engine.close_checkpoints engine;
   {
     arm;
@@ -134,7 +132,6 @@ let measure ?(nodes = 21) ?(seed = 11) ?(shards = 1) ?(sanitize = false)
     probe_period;
     ckpt_bytes;
     ckpt_snapshots;
-    ckpt_write_ns;
   }
 
 let pp_result ppf r =

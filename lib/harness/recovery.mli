@@ -33,7 +33,6 @@ type result = {
   probe_period : float;  (** virtual seconds between probes *)
   ckpt_bytes : int;  (** checkpoint bytes written across the run *)
   ckpt_snapshots : int;  (** snapshot files written across the run *)
-  ckpt_write_ns : int;  (** wall time spent inside snapshot writes *)
 }
 
 (** Run one arm of the experiment. [dir] is the checkpoint root for

@@ -24,9 +24,8 @@
     v}
     Flags bit 0 marks delete-pattern messages.
 
-    A delta batch (kind 3) coalesces every tuple shipped to one peer
-    within a single virtual-clock instant into one frame consuming one
-    sequence number; the receiver unbatches it and delivers the
+    A delta batch (kind 3) coalesces the tuples one event ships to one
+    peer into one frame consuming one sequence number; the receiver unbatches it and delivers the
     messages in item order, so batching is invisible above the
     transport. *)
 

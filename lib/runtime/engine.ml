@@ -23,9 +23,9 @@ type event =
          network tables, so it runs alone, on the calling domain,
          between rounds *)
   | Owned_callback of { owner : string; f : unit -> unit }
-      (* transport-scheduled (retransmit, delayed ack, batching flush,
-         heartbeat): confined to one node's state, so it runs inside
-         [owner]'s shard *)
+      (* transport-scheduled (retransmit, delayed ack, heartbeat):
+         confined to one node's state, so it runs inside [owner]'s
+         shard *)
 
 (* Every event handled during a round defers its cross-cutting effects
    — network sends and event scheduling — into its shard's log instead
@@ -110,10 +110,8 @@ type t = {
   mutable reliable : bool;
       (* default for new transports; set_reliable flips everyone *)
   mutable seminaive : bool;
-      (* machine eval mode for every node, present and future *)
-  mutable batching : bool;
-      (* cross-node delta batching for every transport, present and
-         future; enabled together with semi-naive via set_seminaive *)
+      (* the evaluation pipeline for every node, present and future:
+         semi-naive with delta batching, or naive without *)
   mutable sharding : sharding;
       (* the tick-window round/barrier loop, with node-owned events
          fanned out over [Pool] domains *)
@@ -173,7 +171,6 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     strict_install;
     reliable;
     seminaive = true;
-    batching = false;
     sharding = sharding ~quantum:0.01 1;
     sanitize =
       (match Sys.getenv_opt "P2QL_SANITIZE" with
@@ -312,6 +309,17 @@ let transport t addr =
 
 let transport_opt t addr = Hashtbl.find_opt t.transports addr
 
+(* Ship what [addr]'s transport coalesced while the event or host entry
+   point that just finished ran: frames leave at the instant, and the
+   effect position, of the work that produced them (DESIGN.md §12). *)
+let flush_transport t addr =
+  match Hashtbl.find_opt t.transports addr with
+  | Some tr -> Transport.flush tr
+  | None -> ()
+
+(* After host code that may have touched any node. *)
+let flush_transports t = List.iter (flush_transport t) (addrs t)
+
 (** Flip reliable transport on every node, present and future. Off
     reproduces the pre-transport fire-and-forget path (the loss-sweep
     control arm). *)
@@ -322,18 +330,14 @@ let set_reliable t b =
 let reliable t = t.reliable
 
 (** Select the evaluation pipeline on every node, present and future.
-    [true] (the default planner behaviour, plus cross-node delta
-    batching) runs delta strands semi-naively: the newest tuple joins
-    against full relations, and same-instant shipments to one peer
-    coalesce into single delta-batch frames. [false] is the ablation
-    control: classical naive re-enumeration of the whole rule body on
-    every table delta, with batching off — every re-derivation is
-    re-shipped in its own frame. Engines start semi-naive with
-    batching off (the historical wire behaviour); call
-    [set_seminaive t true] to also turn batching on. *)
+    [true] (every engine's default) runs delta strands semi-naively —
+    the newest tuple joins against full relations — and coalesces one
+    event's shipments to a peer into delta-batch frames. [false] is
+    the ablation control: classical naive re-enumeration of the whole
+    rule body on every table delta, with batching off — every
+    re-derivation is re-shipped in its own frame. *)
 let set_seminaive t b =
   t.seminaive <- b;
-  t.batching <- b;
   Hashtbl.iter
     (fun _ n ->
       Dataflow.Machine.set_eval_mode (Node.machine n)
@@ -418,7 +422,7 @@ let wire_node ?tracer_config ?trace t addr =
       ()
   in
   Transport.set_reliable tr t.reliable;
-  Transport.set_batching tr t.batching;
+  Transport.set_batching tr t.seminaive;
   Dataflow.Machine.set_eval_mode (Node.machine node)
     (if t.seminaive then Dataflow.Machine.Seminaive else Dataflow.Machine.Naive);
   Transport.set_deliver tr (fun ~src ~bytes m ->
@@ -500,7 +504,8 @@ let record tbl addr entry =
 let install t addr source =
   let n = node t addr in
   record t.programs addr (Src_text source);
-  Node.install_text n source
+  Node.install_text n source;
+  flush_transport t addr
 
 (** Toggle strict install-time analysis on every node, present and
     future: programs with error diagnostics raise [Analysis.Rejected]
@@ -512,7 +517,8 @@ let set_strict_install t b =
 let install_ast t addr program =
   let n = node t addr in
   record t.programs addr (Src_ast program);
-  Node.install n program
+  Node.install n program;
+  flush_transport t addr
 
 (** Install the same source on every node. *)
 let install_all t source =
@@ -535,6 +541,7 @@ let inject t addr name values =
   else begin
     let tuple = Node.create_tuple n ~dst:addr name (Value.VAddr addr :: values) in
     Node.deliver n tuple;
+    flush_transport t addr;
     true
   end
 
@@ -732,7 +739,8 @@ let run_round t s buckets =
               sh.pos <- pos;
               sh.seq <- seq;
               sh.handled <- sh.handled + 1;
-              handle t ev)
+              handle t ev;
+              flush_transport t (owner_of ev))
             evs;
           sh.round_ns <- (Unix.gettimeofday () -. t0) *. 1e9)
       buckets
@@ -754,6 +762,9 @@ let run_round t s buckets =
 
 (** Run the simulation until the clock reaches [until]. *)
 let run_until t until =
+  (* Sends that host code made straight on nodes since the last run
+     (bypassing the engine's entry points) leave now. *)
+  flush_transports t;
   let s = t.sharding in
   let buckets = Array.make s.n [] in
   let rec go () =
@@ -768,7 +779,8 @@ let run_until t until =
         | Some (_, ev) ->
             t.clock <- Float.max t.clock time;
             t.seq_handled <- t.seq_handled + 1;
-            handle t ev
+            handle t ev;
+            flush_transports t
         | None -> ());
         go ()
     | Some (t0, _) ->
@@ -962,29 +974,35 @@ let restart ?tracer_config ?trace t addr =
      strands fire and the recovery cascade (e.g. Chord re-advertising
      its successors) starts immediately. *)
   let cold = { recovered_from = `Cold; restored_rows = 0; skipped_rows = 0 } in
-  match t.checkpoint with
-  | None -> cold
-  | Some (dir, _) -> (
-      match Checkpoint.latest ~dir:(Filename.concat dir addr) with
-      | None -> cold
-      | Some snap ->
-          let restored = ref 0 and skipped = ref 0 in
-          List.iter
-            (fun (tbl : Checkpoint.table) ->
-              if Store.Catalog.is_table (Node.catalog node) tbl.name then
-                List.iter
-                  (fun (m : Wire.message) ->
-                    incr restored;
-                    Node.deliver node
-                      (Node.create_tuple node ~dst:addr m.Wire.name m.Wire.fields))
-                  tbl.rows
-              else skipped := !skipped + List.length tbl.rows)
-            snap.Checkpoint.tables;
-          {
-            recovered_from = `Checkpoint (snap.Checkpoint.path, snap.Checkpoint.stamp);
-            restored_rows = !restored;
-            skipped_rows = !skipped;
-          })
+  let outcome =
+    match t.checkpoint with
+    | None -> cold
+    | Some (dir, _) -> (
+        match Checkpoint.latest ~dir:(Filename.concat dir addr) with
+        | None -> cold
+        | Some snap ->
+            let restored = ref 0 and skipped = ref 0 in
+            List.iter
+              (fun (tbl : Checkpoint.table) ->
+                if Store.Catalog.is_table (Node.catalog node) tbl.name then
+                  List.iter
+                    (fun (m : Wire.message) ->
+                      incr restored;
+                      Node.deliver node
+                        (Node.create_tuple node ~dst:addr m.Wire.name m.Wire.fields))
+                    tbl.rows
+                else skipped := !skipped + List.length tbl.rows)
+              snap.Checkpoint.tables;
+            {
+              recovered_from = `Checkpoint (snap.Checkpoint.path, snap.Checkpoint.stamp);
+              restored_rows = !restored;
+              skipped_rows = !skipped;
+            })
+  in
+  (* The replayed programs and the restore cascade ship now. *)
+  flush_transport t addr;
+  outcome
+
 let cut_link t ~src ~dst = Sim.Network.cut_link t.network ~src ~dst
 let heal_link t ~src ~dst = Sim.Network.heal_link t.network ~src ~dst
 let set_loss_rate t rate = Sim.Network.set_loss_rate t.network rate

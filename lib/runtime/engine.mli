@@ -27,14 +27,12 @@ val set_reliable : t -> bool -> unit
 val reliable : t -> bool
 
 (** Select the evaluation pipeline on every node, present and future.
-    [true]: semi-naive delta evaluation (the default planner
-    behaviour) plus cross-node delta batching — same-instant
-    shipments to one peer coalesce into single delta-batch frames.
-    [false]: the naive ablation — classical full-body re-enumeration
-    on every table delta, batching off, every re-derivation re-shipped
-    in its own frame. Engines start semi-naive with batching off (the
-    historical wire behaviour); call [set_seminaive t true] to also
-    enable batching. *)
+    [true], every engine's default: semi-naive delta evaluation plus
+    cross-node delta batching — the shipments one event (or one host
+    entry point) makes to a peer coalesce into delta-batch frames that
+    leave when it finishes. [false]: the naive ablation — classical
+    full-body re-enumeration on every table delta, batching off, every
+    re-derivation re-shipped in its own frame. *)
 val set_seminaive : t -> bool -> unit
 
 val seminaive : t -> bool
@@ -144,7 +142,8 @@ val unsafe_direct_send : t -> src:string -> dst:string -> string -> unit
 val add_node : ?tracer_config:Dataflow.Tracer.config -> ?trace:bool -> t -> string -> Node.t
 
 (** Install OverLog source on one node — at any point in the run (the
-    paper's on-line piecemeal deployment). *)
+    paper's on-line piecemeal deployment). What the install derives for
+    other nodes is on the wire when it returns. *)
 val install : t -> string -> string -> unit
 
 val install_ast : t -> string -> Ast.program -> unit
@@ -157,7 +156,8 @@ val watch : t -> string -> string -> (Tuple.t -> unit) -> unit
 (** Inject an event tuple into a node from the host program; the
     location field is prepended automatically. Refused (returns
     [false]) while the host is crashed — injected events must respect
-    the fault model like everything else. *)
+    the fault model like everything else. What the event derives for
+    other nodes is on the wire when it returns. *)
 val inject : t -> string -> string -> Value.t list -> bool
 
 (** Watch and accumulate; the returned closure reads the collected
@@ -172,7 +172,11 @@ val inflight : t -> src:string -> dst:string -> int
     destinations. Exposed per node as the [net.sendq.depth] gauge. *)
 val inflight_from : t -> string -> int
 
-(** Run the simulation until the clock reaches the given time. *)
+(** Run the simulation until the clock reaches the given time. Every
+    event, and every host callback, ships its delta-batch frames when
+    it finishes, so no tuple waits in a coalescing buffer when this
+    returns; sends host code made straight on a node since the last
+    run leave first. *)
 val run_until : t -> float -> unit
 
 val run_for : t -> float -> unit
@@ -187,10 +191,10 @@ val run_for : t -> float -> unit
     shard count. An effect applies exactly where an event-at-a-time
     loop would apply it unless it lands inside its own window; at the
     default quantum no network delivery or timer does, but a coarser
-    quantum or the zero-delay flush of delta batching can, and is then
-    handled in the next round (a different, still shard-count
-    independent, simulation). Host callbacks ([at]) always run alone
-    between rounds. Raises [Invalid_argument] when [n < 1]. *)
+    quantum can, and is then handled in the next round (a different,
+    still shard-count independent, simulation). Host callbacks ([at])
+    always run alone between rounds. Raises [Invalid_argument] when
+    [n < 1]. *)
 val set_shards : ?quantum:float -> t -> int -> unit
 
 (** Current shard count (at least 1). *)

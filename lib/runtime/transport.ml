@@ -21,12 +21,13 @@
       (alive → suspect after [suspect_after] misses → dead after
       [dead_after] of silence → back to alive on any frame), reflected
       into the [p2PeerStatus] catalog table by {!P2stats};
-    - optional delta batching ({!set_batching}): tuples shipped to the
-      same peer within one virtual-clock instant coalesce into a single
-      Wire delta-batch frame occupying one sequence number, unbatched
-      transparently (in item order) at the receiver. The recursive
-      cascades of semi-naive evaluation ship whole frontiers this way
-      for one frame each.
+    - delta batching (on by default, {!set_batching}): tuples shipped
+      to the same peer while one event is handled coalesce into a
+      single Wire delta-batch frame occupying one sequence number,
+      unbatched transparently (in item order) at the receiver. The
+      owner empties the buffers with {!flush} when the event finishes.
+      The recursive cascades of semi-naive evaluation ship whole
+      frontiers this way for one frame each.
 
     The transport is host-agnostic: the engine injects the clock, the
     scheduler, the raw network send and the upward deliver hook, so
@@ -88,9 +89,8 @@ type chan = {
   mutable pending : (bool * Tuple.t) list Queue.t;
       (* shipment groups with no seq assigned yet *)
   buffer : (bool * Tuple.t) Queue.t;
-      (* delta-batch coalescing buffer: sends within the current
-         virtual-clock instant, flushed by a zero-delay callback *)
-  mutable flush_armed : bool;
+      (* delta-batch coalescing buffer: sends made while the current
+         event is handled, emptied by [flush] when it finishes *)
   (* inbound *)
   mutable cum_ack : int;  (* highest in-order data seq received *)
   reorder : (int, int * Wire.message list) Hashtbl.t;
@@ -116,7 +116,9 @@ type t = {
   rng : Sim.Rng.t;
   chans : (string, chan) Hashtbl.t;
   mutable reliable : bool;
-  mutable batching : bool;  (* coalesce same-instant sends per peer *)
+  mutable batching : bool;  (* coalesce one event's sends per peer *)
+  mutable dirty : chan list;
+      (* channels whose buffer is nonempty, newest first *)
   mutable stopped : bool;  (* node retired: drop timers, stop ticking *)
   (* engine hooks *)
   now : unit -> float;
@@ -171,7 +173,6 @@ let chan t peer =
           unacked = Queue.create ();
           pending = Queue.create ();
           buffer = Queue.create ();
-          flush_armed = false;
           cum_ack = 0;
           reorder = Hashtbl.create 8;
           ack_pending = false;
@@ -340,37 +341,40 @@ let send_group t c items =
     (* else: the newcomer is the dropped group *)
   end
 
-(* Drain the coalescing buffer into delta-batch groups of at most
-   [max_batch] tuples each. Runs from a zero-delay callback, i.e. at
-   the same virtual instant as the sends it coalesces (the event queue
-   breaks ties in insertion order, so the flush follows the whole
-   delivery cascade that filled the buffer). *)
+(* Drain one coalescing buffer into delta-batch groups of at most
+   [max_batch] tuples each. A retired channel's tuples die with it. *)
 let flush_buffer t c =
-  c.flush_armed <- false;
-  if (not t.stopped) && chan_live t c then
+  if t.stopped || not (chan_live t c) then Queue.clear c.buffer
+  else
     while not (Queue.is_empty c.buffer) do
-      let group = ref [] in
-      while
-        not (Queue.is_empty c.buffer) && List.length !group < t.cfg.max_batch
-      do
-        group := Queue.pop c.buffer :: !group
-      done;
-      send_group t c (List.rev !group)
+      let rec take n acc =
+        if n = 0 || Queue.is_empty c.buffer then List.rev acc
+        else take (n - 1) (Queue.pop c.buffer :: acc)
+      in
+      send_group t c (take t.cfg.max_batch [])
     done
+
+(** Ship everything the coalescing buffers hold, peer by peer in the
+    order each peer was first sent to. The owner calls this when the
+    event it is handling finishes, so frames leave at the instant (and
+    effect position) of the event that produced them. *)
+let flush t =
+  match t.dirty with
+  | [] -> ()
+  | dirty ->
+      t.dirty <- [];
+      List.iter (flush_buffer t) (List.rev dirty)
 
 (** Ship one tuple to [dst], reliably (sequenced, retransmitted,
     bounded queue) unless the transport is ablated. With batching
     enabled the tuple first parks in the peer's coalescing buffer and
-    leaves — together with everything else sent to that peer at this
-    virtual instant — in a single delta-batch frame. *)
+    leaves at the next {!flush}, together with everything else sent to
+    that peer meanwhile, in a single delta-batch frame. *)
 let send t ~dst ~delete tuple =
   let c = chan t dst in
   if t.batching then begin
-    Queue.push (delete, tuple) c.buffer;
-    if not c.flush_armed then begin
-      c.flush_armed <- true;
-      t.schedule 0. (fun () -> flush_buffer t c)
-    end
+    if Queue.is_empty c.buffer then t.dirty <- c :: t.dirty;
+    Queue.push (delete, tuple) c.buffer
   end
   else send_group t c [ (delete, tuple) ]
 
@@ -499,7 +503,8 @@ let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~activ
       rng;
       chans = Hashtbl.create 8;
       reliable = true;
-      batching = false;
+      batching = true;
+      dirty = [];
       stopped = false;
       now;
       schedule;
@@ -529,6 +534,9 @@ let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~activ
   t
 
 (* --- introspection --- *)
+
+let buffered t =
+  List.fold_left (fun acc (c : chan) -> acc + Queue.length c.buffer) 0 t.dirty
 
 let sendq_depth t =
   Hashtbl.fold

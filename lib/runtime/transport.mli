@@ -72,12 +72,12 @@ val reliable : t -> bool
 
 val set_reliable : t -> bool -> unit
 
-(** Delta batching (default off): when enabled, tuples shipped to the
-    same peer within one virtual-clock instant coalesce into a single
-    delta-batch frame occupying one sequence number, capped at
-    [max_batch] tuples per frame; the receiver unbatches in item
-    order, so delivery semantics are unchanged. Works in both reliable
-    and fire-and-forget modes. *)
+(** Delta batching (default on): tuples shipped to the same peer
+    between two {!flush} calls coalesce into a single delta-batch frame
+    occupying one sequence number, capped at [max_batch] tuples per
+    frame; the receiver unbatches in item order, so delivery semantics
+    are unchanged. Works in both reliable and fire-and-forget modes.
+    Off, every tuple leaves at once in its own frame. *)
 val batching : t -> bool
 
 val set_batching : t -> bool -> unit
@@ -88,8 +88,18 @@ val stop : t -> unit
 
 (** Ship one tuple to [dst]. Reliable mode sequences the frame,
     retransmits until acked, and applies the bounded-queue drop policy
-    under backpressure. *)
+    under backpressure. With batching on, the tuple waits in the peer's
+    coalescing buffer until the next {!flush}. *)
 val send : t -> dst:string -> delete:bool -> Overlog.Tuple.t -> unit
+
+(** Empty the coalescing buffers: each peer's buffered tuples leave in
+    frames of at most [max_batch] tuples, peers in the order they were
+    first sent to. The owner calls it when the event it is handling
+    finishes ([Engine] does so for every event and host entry point). *)
+val flush : t -> unit
+
+(** Tuples waiting in coalescing buffers for the next {!flush}. *)
+val buffered : t -> int
 
 (** Process one wire frame from [src]: ack bookkeeping, duplicate
     suppression, reordering, failure-detector refresh, and in-order

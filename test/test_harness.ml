@@ -189,6 +189,18 @@ let test_campaign_reproducible () =
     (Fmt.str "%a" C.pp_report [ r2 ]);
   Alcotest.(check bool) "run records structurally equal" true (r1 = r2)
 
+(* The seed-1, intensity-1 cell of the CI smoke campaign, pinned whole:
+   the frame count and every verdict. A change to what the pipeline
+   ships or when (the batching scope, the flush point) moves a number
+   here and shows up as a diff. *)
+let golden_cell =
+  "seed=1    intensity=1 actions=1  PASS tx=5766   drop=0     \
+   unhealthy=9/106 alarms=1   probes=13/14 wrong=0"
+
+let test_campaign_golden () =
+  let r = C.run_seed cfg ~seed:1 ~intensity:1 () in
+  Alcotest.(check string) "report line" golden_cell (Fmt.str "%a" C.pp_run r)
+
 let test_smoke_sweep () =
   let runs = C.sweep cfg ~seeds:[ 1; 2 ] ~intensities:[ 1 ] () in
   Alcotest.(check int) "sweep covers the grid" 2 (List.length runs);
@@ -243,6 +255,8 @@ let () =
           Alcotest.test_case "baseline passes" `Slow test_baseline_passes;
           Alcotest.test_case "reproducible" `Slow test_campaign_reproducible;
           Alcotest.test_case "smoke sweep" `Slow test_smoke_sweep;
+          Alcotest.test_case "seed-1 cell matches pinned golden" `Slow
+            test_campaign_golden;
           Alcotest.test_case "extended sweep with checkpoints" `Slow
             test_extended_campaign_passes;
           Alcotest.test_case "planted corruption caught, shrunk" `Slow

@@ -169,13 +169,13 @@ let test_ring_coarse_quantum () =
   in
   check_arms_identical ~what:"chord ring, coarse quantum" arms
 
-(* Totals of the seed-42, 10-node, 150 s ring as an event-at-a-time
-   loop (each effect applied the moment its event ran) produced them.
-   At the default quantum no effect lands inside its own window, so
+(* Totals of the seed-42, 10-node, 150 s ring in event-at-a-time
+   order (each effect applied the moment its event ran). At the default quantum no effect lands inside its own window, so
    replaying the barrier's effects in pop order must give exactly
    these numbers at every shard count; any drift in the canonical
-   order shows up here. *)
-let golden_ring_events = 39420
+   order shows up here. The same totals come out at 1 ms and 1 us
+   quanta, where a window holds little more than one instant. *)
+let golden_ring_events = 31299
 let golden_ring_msgs = 8952
 
 let test_ring_golden () =

@@ -1,8 +1,9 @@
 (* Reliable transport end-to-end: eventual exactly-once delivery under
    loss, the ablated control arm, the peer failure detector observed
    through p2PeerStatus + the pure-OverLog watchdog, bounded send
-   queues, node-retirement purges, the inject crash guard, and the
-   headline acceptance run: an 8-node Chord ring converging under 20 %
+   queues, node-retirement purges, the inject crash guard, the
+   per-event flush of the delta-batch buffers, and the headline
+   acceptance run: an 8-node Chord ring converging under 20 %
    uniform loss with the transport on and failing with it off. *)
 
 open Overlog
@@ -126,6 +127,9 @@ let test_bounded_send_queue () =
   let engine = two_nodes () in
   Engine.crash engine "b";
   let tr = Engine.transport engine "a" in
+  (* The queue bounds frames: unbatched, each tuple is one frame
+     (batched, the flood would pack into five). *)
+  Transport.set_batching tr false;
   for i = 1 to 300 do
     Transport.send tr ~dst:"b" ~delete:false (Tuple.make "x" [ Value.VInt i ])
   done;
@@ -177,6 +181,80 @@ let test_inject_crash_guard () =
     (Engine.inject engine "a" "ev" [ Value.VInt 2 ]);
   Engine.run_for engine 1.;
   Alcotest.(check int) "delivered after recovery" 1 (List.length (got ()))
+
+(* --- the delta-batch flush point --- *)
+
+(* A host [inject] whose rule ships to a remote node puts the frame on
+   the wire before it returns: the tuple arrives one base latency plus
+   jitter later, long before [a] handles any event of its own (its
+   first sweep is at 1 s, its first heartbeat later still). Likewise
+   for an inject from a host callback mid-run. *)
+let test_inject_ships_at_once () =
+  List.iter
+    (fun shards ->
+      let engine = two_nodes () in
+      Engine.set_shards engine shards;
+      Engine.install engine "a" forward_rule;
+      let arrivals = ref [] in
+      Engine.watch engine "b" "ping" (fun _ ->
+          arrivals := Engine.now engine :: !arrivals);
+      let check_arrival ~sent =
+        match !arrivals with
+        | [ at ] ->
+            arrivals := [];
+            if at < sent +. 0.01 || at > sent +. 0.015 then
+              Alcotest.failf "shards=%d: sent at %g, arrived at %g" shards sent
+                at
+        | l ->
+            Alcotest.failf "shards=%d: %d arrivals after the send at %g" shards
+              (List.length l) sent
+      in
+      ignore (Engine.inject engine "a" "ev" [ Value.VInt 1 ]);
+      Alcotest.(check int)
+        (Fmt.str "shards=%d: nothing left buffered" shards)
+        0
+        (Transport.buffered (Engine.transport engine "a"));
+      Engine.run_until engine 0.5;
+      check_arrival ~sent:0.;
+      Engine.at engine ~time:5.25 (fun () ->
+          ignore (Engine.inject engine "a" "ev" [ Value.VInt 2 ]));
+      Engine.run_until engine 5.75;
+      check_arrival ~sent:5.25)
+    [ 1; 2 ]
+
+(* Whatever drove the sends — rounds, host callbacks (p2Stats
+   reflection), a crash-restart and its restore cascade — no tuple is
+   ever left in a coalescing buffer when [run_until] returns. *)
+let test_buffers_empty_after_run_until () =
+  let engine = Engine.create ~seed:5 () in
+  Engine.set_shards engine 2;
+  let net = Chord.boot engine 6 in
+  P2_runtime.P2stats.attach ~period:2. engine;
+  let victim = List.nth net.Chord.addrs 3 in
+  Engine.at engine ~time:20. (fun () -> Engine.crash engine victim);
+  Engine.at engine ~time:25. (fun () -> ignore (Engine.restart engine victim));
+  let batches = ref 0. in
+  let t = ref 0. in
+  while !t < 60. do
+    t := !t +. 0.37;
+    Engine.run_until engine !t;
+    List.iter
+      (fun a ->
+        let left = Transport.buffered (Engine.transport engine a) in
+        if left > 0 then
+          Alcotest.failf "%d tuple(s) left in %s's buffer at %g" left a !t)
+      (Engine.addrs engine)
+  done;
+  List.iter
+    (fun a ->
+      let reg = P2_runtime.Node.registry (Engine.node engine a) in
+      batches :=
+        !batches
+        +. Option.value ~default:0. (Metrics.value reg "transport.tx.batches"))
+    (Engine.addrs engine);
+  Alcotest.(check bool)
+    (Fmt.str "batches were sent (%g)" !batches)
+    true (!batches > 0.)
 
 (* Partition, then heal: frames sent into the cut are retransmitted
    (never abandoned), so after the heal every one arrives exactly once
@@ -291,6 +369,13 @@ let () =
             test_remove_node_purges;
           Alcotest.test_case "inject crash guard" `Quick
             test_inject_crash_guard;
+        ] );
+      ( "flush point",
+        [
+          Alcotest.test_case "host inject ships at once" `Quick
+            test_inject_ships_at_once;
+          Alcotest.test_case "buffers empty after run_until" `Quick
+            test_buffers_empty_after_run_until;
         ] );
       ( "acceptance",
         [
