@@ -20,8 +20,12 @@
               [--json PATH] [--check-speedup N] [--check-seminaive N]
               [--check-scaling R] [--check-recovery]
 
-   --json writes every measurement to PATH as machine-readable JSON.
-   The gates exit nonzero unless: the join section's indexed probe is
+   --json writes every measurement to PATH as machine-readable JSON,
+   with a [gates] object holding each checked gate's floor, measured
+   value and verdict. Every selected section runs before any gate is
+   judged, so one failing gate hides no other result; the run then
+   exits 1 if any gate failed. The gates fail unless: the join
+   section's indexed probe is
    at least N x faster than the full scan (--check-speedup); naive
    evaluation ships at least N x the tuples semi-naive does on the
    transitive closure (--check-seminaive); 4 shards simulate at least
@@ -42,6 +46,7 @@ type json =
   | Arr of json list
   | Num of float
   | Int of int
+  | Bool of bool
   | Str of string
 
 let buf_json buf j =
@@ -83,6 +88,7 @@ let buf_json buf j =
         if Float.is_finite f then add (Fmt.str "%.17g" f)
         else add "null"  (* stddev of a degenerate sample, etc. *)
     | Int i -> add (string_of_int i)
+    | Bool b -> add (string_of_bool b)
     | Str s -> str s
   in
   go j
@@ -92,6 +98,37 @@ let buf_json buf j =
    dump — appending with [@] re-copies the whole list per section. *)
 let results : (string * json) list ref = ref []
 let record section j = results := (section, j) :: !results
+
+(* Gate verdicts, newest first. Sections record their checks here and
+   carry on; the driver judges them together after the last section. *)
+type gate = {
+  gate : string;
+  rule : string;  (* how [measured] must compare with [floor] *)
+  floor : float;
+  measured : float;
+  pass : bool;
+}
+
+let gates : gate list ref = ref []
+
+let check_gate ~gate ~rule ~floor ~measured pass =
+  gates := { gate; rule; floor; measured; pass } :: !gates;
+  if pass then Fmt.pr "  gate %s: %g %s %g — ok@." gate measured rule floor
+  else Fmt.epr "FAIL: gate %s: %g not %s %g@." gate measured rule floor
+
+let gates_json () =
+  Obj
+    (List.rev_map
+       (fun g ->
+         ( g.gate,
+           Obj
+             [
+               ("rule", Str g.rule);
+               ("floor", Num g.floor);
+               ("measured", Num g.measured);
+               ("pass", Bool g.pass);
+             ] ))
+       !gates)
 
 let write_json path =
   let buf = Buffer.create 4096 in
@@ -113,6 +150,7 @@ let write_json path =
                ("pool_workers", Int (P2_runtime.Pool.size ()));
              ] );
          ("sections", Obj (List.rev !results));
+         ("gates", gates_json ());
        ]);
   Buffer.add_char buf '\n';
   let oc = open_out path in
@@ -476,14 +514,11 @@ let bench_seminaive check =
          ("msg_reduction", Num reduction);
          chord_row;
        ]);
-  match check with
-  | Some floor when reduction < floor ->
-      Fmt.epr "FAIL: semi-naive message reduction x%.2f below required x%.1f@."
-        reduction floor;
-      exit 1
-  | Some floor ->
-      Fmt.pr "  check: x%.2f >= required x%.1f — ok@." reduction floor
-  | None -> ()
+  Option.iter
+    (fun floor ->
+      check_gate ~gate:"seminaive" ~rule:">=" ~floor ~measured:reduction
+        (reduction >= floor))
+    check
 
 (* --- Scaling: the multicore sharded engine --- *)
 
@@ -552,12 +587,11 @@ let bench_scaling check =
     (P2_runtime.Pool.size ()) speedup;
   pending_rows := ("summary", Obj [ ("speedup_4v1", Num speedup) ]) :: !pending_rows;
   rows_json "scaling";
-  match check with
-  | Some floor when speedup < floor ->
-      Fmt.epr "FAIL: scaling speedup x%.2f below required x%.1f@." speedup floor;
-      exit 1
-  | Some floor -> Fmt.pr "  check: x%.2f >= required x%.1f — ok@." speedup floor
-  | None -> ()
+  Option.iter
+    (fun floor ->
+      check_gate ~gate:"scaling" ~rule:">=" ~floor ~measured:speedup
+        (speedup >= floor))
+    check
 
 (* --- Join micro-benchmark: indexed probes vs full scans --- *)
 
@@ -633,12 +667,11 @@ let bench_join check_speedup =
          run "scan" scanned scan_events;
          ("speedup", Num speedup);
        ]);
-  match check_speedup with
-  | Some floor when speedup < floor ->
-      Fmt.epr "FAIL: join speedup x%.1f below required x%.1f@." speedup floor;
-      exit 1
-  | Some floor -> Fmt.pr "  check: x%.1f >= required x%.1f — ok@." speedup floor
-  | None -> ()
+  Option.iter
+    (fun floor ->
+      check_gate ~gate:"join" ~rule:">=" ~floor ~measured:speedup
+        (speedup >= floor))
+    check_speedup
 
 (* --- forensics: the flight recorder (docs/FORENSICS.md) --- *)
 
@@ -757,26 +790,20 @@ let bench_recovery check =
          ("ticks_cold", Int (ticks cold));
          ("probe_period_s", Num ck.Harness.Recovery.probe_period);
        ]);
+  (* The floor is the cold rejoin's tick count, which a restart from
+     a checkpoint must beat strictly. *)
   if check then
-    let strict =
-      ck.Harness.Recovery.recovered_from_checkpoint
+    check_gate ~gate:"recovery" ~rule:"<"
+      ~floor:(float_of_int (ticks cold))
+      ~measured:(float_of_int (ticks ck))
+      (ck.Harness.Recovery.recovered_from_checkpoint
       &&
       match
         ( ck.Harness.Recovery.ticks_to_converge,
           cold.Harness.Recovery.ticks_to_converge )
       with
       | Some fast, Some slow -> fast < slow
-      | _ -> false
-    in
-    if strict then
-      Fmt.pr "  recovery gate passed: %d < %d@." (ticks ck) (ticks cold)
-    else begin
-      Fmt.epr
-        "FAIL: checkpointed restart (%d ticks) not strictly faster than cold \
-         rejoin (%d ticks)@."
-        (ticks ck) (ticks cold);
-      exit 1
-    end
+      | _ -> false)
 
 (* --- driver --- *)
 
@@ -849,4 +876,11 @@ let () =
   List.iter
     (fun (name, f) -> if wanted = [] || List.mem name wanted then f ())
     all_sections;
-  if !json_path <> "" then write_json !json_path
+  if !json_path <> "" then write_json !json_path;
+  match List.filter (fun g -> not g.pass) (List.rev !gates) with
+  | [] -> ()
+  | failed ->
+      Fmt.epr "%d gate(s) failed: %a@." (List.length failed)
+        Fmt.(list ~sep:(any ", ") string)
+        (List.map (fun g -> g.gate) failed);
+      exit 1

@@ -87,7 +87,7 @@ type t = {
   addr : string;
   mutable enabled : bool;
   config : config;
-  rules : (string, rule_state) Hashtbl.t;
+  rules : rule_state Strtbl.t;
   rule_exec : Store.Table.t;
   tuple_table : Store.Table.t;
   contents : (int, Tuple.t) Hashtbl.t;  (* tuple id -> memoized tuple *)
@@ -133,7 +133,7 @@ let create ?(config = default_config) ~addr ~now ~charge () =
       addr;
       enabled = false;
       config;
-      rules = Hashtbl.create 32;
+      rules = Strtbl.create 32;
       rule_exec;
       tuple_table;
       contents = Hashtbl.create 256;
@@ -283,11 +283,11 @@ let restore t tuple =
   | _ -> memo_add t (Tuple.id tuple) tuple
 
 let state_for t ~rule ~join_count =
-  match Hashtbl.find_opt t.rules rule with
+  match Strtbl.find_opt t.rules rule with
   | Some s -> s
   | None ->
       let s = { join_count; records = [] } in
-      Hashtbl.replace t.rules rule s;
+      Strtbl.replace t.rules rule s;
       s
 
 let fresh_record t ~join_count =
@@ -440,6 +440,6 @@ let on_output t ~rule ~join_count ~tuple_id =
 
 (* Test/debug visibility. *)
 let record_count t rule =
-  match Hashtbl.find_opt t.rules rule with
+  match Strtbl.find_opt t.rules rule with
   | Some s -> List.length s.records
   | None -> 0

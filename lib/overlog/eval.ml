@@ -24,7 +24,12 @@ module Env = struct
 
   let empty : t = []
 
-  let find env v = List.assoc_opt v env
+  (* [List.assoc_opt] would compare names polymorphically; the first
+     (innermost) binding wins either way. *)
+  let rec find env v =
+    match env with
+    | [] -> None
+    | (k, x) :: rest -> if String.equal k v then Some x else find rest v
 
   let bind env v x =
     if v = "_" then env else (v, x) :: env

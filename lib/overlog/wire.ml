@@ -39,19 +39,15 @@ let flag_delete = 1
 
 let put_u8 buf i = Buffer.add_char buf (Char.chr (i land 0xff))
 
+let check_u16 i = if i < 0 || i > 0xffff then raise (Error "u16 out of range")
+
 let put_u16 buf i =
-  if i < 0 || i > 0xffff then raise (Error "u16 out of range");
-  put_u8 buf (i land 0xff);
-  put_u8 buf (i lsr 8)
+  check_u16 i;
+  Buffer.add_uint16_le buf i
 
-let put_u32 buf i =
-  put_u16 buf (i land 0xffff);
-  put_u16 buf ((i lsr 16) land 0xffff)
-
-let put_int64 buf i =
-  for b = 0 to 7 do
-    put_u8 buf (Int64.to_int (Int64.shift_right_logical i (8 * b)) land 0xff)
-  done
+(* The low 32 bits of [i]: [Int32.of_int] wraps modulo 2^32. *)
+let put_u32 buf i = Buffer.add_int32_le buf (Int32.of_int i)
+let put_int64 buf i = Buffer.add_int64_le buf i
 
 let put_i64 buf i = put_int64 buf (Int64.of_int i)
 
@@ -59,8 +55,10 @@ let put_i64 buf i = put_int64 buf (Int64.of_int i)
    63-bit int *)
 let put_f64 buf f = put_int64 buf (Int64.bits_of_float f)
 
+let check_str s = if String.length s > 0xffff then raise (Error "string too long")
+
 let put_str buf s =
-  if String.length s > 0xffff then raise (Error "string too long");
+  check_str s;
   put_u16 buf (String.length s);
   Buffer.add_string buf s
 
@@ -234,6 +232,33 @@ let decode data =
   if r.pos <> String.length data then raise (Error "trailing bytes");
   { seq; ack; kind }
 
+(* --- sizing --- *)
+
+let header_size = 10  (* version, kind, seq, ack *)
+
+(* The bytes [put_value] writes, raising the same errors in the same
+   order. *)
+let rec value_size = function
+  | Value.VInt _ | Value.VFloat _ | Value.VId _ -> 9
+  | Value.VStr s | Value.VAddr s ->
+      check_str s;
+      3 + String.length s
+  | Value.VBool _ -> 2
+  | Value.VList vs ->
+      let n = List.length vs in
+      check_u16 n;
+      List.fold_left (fun acc v -> acc + value_size v) 3 vs
+  | Value.VNull -> 1
+
 (** Wire size of a tuple's data frame without materializing the
-    encoding. *)
-let size ?(delete = false) tuple = String.length (encode ~delete tuple)
+    encoding: [String.length (encode ~delete tuple)], raising {!Error}
+    exactly when [encode] would. [delete] does not change the size. *)
+let size ?delete:_ tuple =
+  let name = Tuple.name tuple in
+  check_str name;
+  let fields = Tuple.fields tuple in
+  check_u16 (List.length fields);
+  List.fold_left
+    (fun acc v -> acc + value_size v)
+    (header_size + 4 + 1 + 2 + String.length name + 2)
+    fields

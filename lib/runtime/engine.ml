@@ -91,11 +91,11 @@ type t = {
   rng : Sim.Rng.t;
   network : Sim.Network.t;
   queue : event Sim.Event_queue.t;
-  nodes : (string, Node.t) Hashtbl.t;
-  transports : (string, Transport.t) Hashtbl.t;
+  nodes : Node.t Strtbl.t;
+  transports : Transport.t Strtbl.t;
       (* one reliable-transport endpoint per node, between the node's
          emit path and the raw network *)
-  inflight : (string * string, int) Hashtbl.t;
+  inflight : int ref Strtbl.Pair.t;
       (* (src, dst) -> messages accepted by the network but not yet
          delivered: the simulator's stand-in for a per-destination
          send-queue depth *)
@@ -124,19 +124,19 @@ type t = {
   mutable checkpoint : (string * Checkpoint.config) option;
       (* durable-checkpoint root directory + cadence; every node,
          present and future, snapshots its hard state to [dir]/[addr]/ *)
-  ckpt_writers : (string, Checkpoint.writer) Hashtbl.t;
+  ckpt_writers : Checkpoint.writer Strtbl.t;
       (* per-address checkpoint writers. Keyed by address, not node:
          they model the node's disk, so they survive [restart] *)
   mutable ckpt_armed : bool;  (* the periodic snapshot callback is live *)
-  incarnations : (string, int) Hashtbl.t;
+  incarnations : int Strtbl.t;
       (* bumped by [restart]; events carry the incarnation they were
          minted under, and stale ones die instead of reaching (or
          rescheduling themselves onto) the reborn node *)
-  programs : (string, installed list) Hashtbl.t;
+  programs : installed list Strtbl.t;
       (* every program installed per address, newest first — the
          stand-in for the on-disk configuration a real process re-reads
          when it restarts *)
-  host_watches : (string, (string * (Tuple.t -> unit)) list) Hashtbl.t;
+  host_watches : (string * (Tuple.t -> unit)) list Strtbl.t;
       (* host-registered watchpoints per address, newest first;
          re-attached after a restart so observers survive the crash *)
   mutable seq_handled : int;
@@ -162,9 +162,9 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     rng;
     network = Sim.Network.create ~base_latency ~jitter ~loss_rate (Sim.Rng.split rng);
     queue = Sim.Event_queue.create ();
-    nodes = Hashtbl.create 32;
-    transports = Hashtbl.create 32;
-    inflight = Hashtbl.create 32;
+    nodes = Strtbl.create 32;
+    transports = Strtbl.create 32;
+    inflight = Strtbl.Pair.create 32;
     addrs_cache = None;
     clock = 0.;
     trace_default = trace;
@@ -178,11 +178,11 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
       | _ -> false);
     trace_log = None;
     checkpoint = None;
-    ckpt_writers = Hashtbl.create 32;
+    ckpt_writers = Strtbl.create 32;
     ckpt_armed = false;
-    incarnations = Hashtbl.create 32;
-    programs = Hashtbl.create 32;
-    host_watches = Hashtbl.create 32;
+    incarnations = Strtbl.create 32;
+    programs = Strtbl.create 32;
+    host_watches = Strtbl.create 32;
     seq_handled = 0;
   }
 
@@ -193,29 +193,31 @@ let now t =
 
 let network t = t.network
 
+(* Every event checks it; the table stays empty until a restart. *)
 let incarnation t addr =
-  Option.value (Hashtbl.find_opt t.incarnations addr) ~default:0
+  if Strtbl.length t.incarnations = 0 then 0
+  else Option.value (Strtbl.find_opt t.incarnations addr) ~default:0
 
 (* The unified unknown-address check for the lifecycle / fault API:
    [remove_node], [crash], [recover] and [restart] all raise the same
    [Invalid_argument] shape, naming both the entry point and the
    address. *)
 let require_known t fn addr =
-  if not (Hashtbl.mem t.nodes addr) then
+  if not (Strtbl.mem t.nodes addr) then
     invalid_arg (Fmt.str "Engine.%s: unknown node %s" fn addr)
 
 let node t addr =
-  match Hashtbl.find_opt t.nodes addr with
+  match Strtbl.find_opt t.nodes addr with
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Engine.node: unknown node %s" addr)
 
-let node_opt t addr = Hashtbl.find_opt t.nodes addr
+let node_opt t addr = Strtbl.find_opt t.nodes addr
 let addrs t =
   match t.addrs_cache with
   | Some l -> l
   | None ->
       let l =
-        Hashtbl.fold (fun a _ acc -> a :: acc) t.nodes [] |> List.sort compare
+        Strtbl.fold (fun a _ acc -> a :: acc) t.nodes [] |> List.sort compare
       in
       t.addrs_cache <- Some l;
       l
@@ -271,18 +273,21 @@ let sched_owned t ~at ev =
 let inflight_add t ~src ~dst d =
   guard t "Engine.inflight_add";
   let key = (src, dst) in
-  let n = Option.value (Hashtbl.find_opt t.inflight key) ~default:0 + d in
-  if n <= 0 then Hashtbl.remove t.inflight key else Hashtbl.replace t.inflight key n
+  match Strtbl.Pair.find_opt t.inflight key with
+  | Some n ->
+      n := !n + d;
+      if !n <= 0 then Strtbl.Pair.remove t.inflight key
+  | None -> if d > 0 then Strtbl.Pair.replace t.inflight key (ref d)
 
 (** Messages from [src] to [dst] accepted by the network but not yet
     delivered — the simulator's per-destination send-queue depth. *)
 let inflight t ~src ~dst =
-  Option.value (Hashtbl.find_opt t.inflight (src, dst)) ~default:0
+  match Strtbl.Pair.find_opt t.inflight (src, dst) with Some n -> !n | None -> 0
 
 (** Total undelivered messages originated by [src], over all
     destinations: the node's [net.sendq.depth] gauge. *)
 let inflight_from t src =
-  Hashtbl.fold (fun (s, _) n acc -> if String.equal s src then acc + n else acc)
+  Strtbl.Pair.fold (fun (s, _) n acc -> if String.equal s src then acc + !n else acc)
     t.inflight 0
 
 (* Below the transport: decide the packet's fate and queue delivery.
@@ -303,17 +308,17 @@ let raw_send t ~src ~dst packet =
     raw_send_now t ~now:t.clock ~src ~dst packet
 
 let transport t addr =
-  match Hashtbl.find_opt t.transports addr with
+  match Strtbl.find_opt t.transports addr with
   | Some tr -> tr
   | None -> invalid_arg (Fmt.str "Engine.transport: unknown node %s" addr)
 
-let transport_opt t addr = Hashtbl.find_opt t.transports addr
+let transport_opt t addr = Strtbl.find_opt t.transports addr
 
 (* Ship what [addr]'s transport coalesced while the event or host entry
    point that just finished ran: frames leave at the instant, and the
    effect position, of the work that produced them (DESIGN.md §12). *)
 let flush_transport t addr =
-  match Hashtbl.find_opt t.transports addr with
+  match Strtbl.find_opt t.transports addr with
   | Some tr -> Transport.flush tr
   | None -> ()
 
@@ -325,7 +330,7 @@ let flush_transports t = List.iter (flush_transport t) (addrs t)
     control arm). *)
 let set_reliable t b =
   t.reliable <- b;
-  Hashtbl.iter (fun _ tr -> Transport.set_reliable tr b) t.transports
+  Strtbl.iter (fun _ tr -> Transport.set_reliable tr b) t.transports
 
 let reliable t = t.reliable
 
@@ -338,12 +343,12 @@ let reliable t = t.reliable
     re-derivation is re-shipped in its own frame. *)
 let set_seminaive t b =
   t.seminaive <- b;
-  Hashtbl.iter
+  Strtbl.iter
     (fun _ n ->
       Dataflow.Machine.set_eval_mode (Node.machine n)
         (if b then Dataflow.Machine.Seminaive else Dataflow.Machine.Naive))
     t.nodes;
-  Hashtbl.iter (fun _ tr -> Transport.set_batching tr b) t.transports
+  Strtbl.iter (fun _ tr -> Transport.set_batching tr b) t.transports
 
 let seminaive t = t.seminaive
 
@@ -368,7 +373,7 @@ let attach_trace_log node addr (dir, config) =
 let set_trace_log ?(config = Seglog.default_config) t dir =
   guard t "Engine.set_trace_log";
   t.trace_log <- Some (dir, config);
-  Hashtbl.iter (fun addr node -> attach_trace_log node addr (dir, config)) t.nodes
+  Strtbl.iter (fun addr node -> attach_trace_log node addr (dir, config)) t.nodes
 
 (** The flight-recorder root directory, when recording. *)
 let trace_log t = Option.map fst t.trace_log
@@ -377,12 +382,12 @@ let trace_log t = Option.map fst t.trace_log
     run loops at barriers; cheap when nothing is buffered. *)
 let flush_trace_logs t =
   if t.trace_log <> None then
-    Hashtbl.iter (fun _ node -> Node.flush_trace_log node) t.nodes
+    Strtbl.iter (fun _ node -> Node.flush_trace_log node) t.nodes
 
 (** Stop recording: flush and seal every node's segment log and
     detach the writers. Future nodes no longer record. *)
 let close_trace_logs t =
-  Hashtbl.iter
+  Strtbl.iter
     (fun _ node ->
       match Node.trace_log node with
       | Some w ->
@@ -463,7 +468,7 @@ let wire_node ?tracer_config ?trace t addr =
      The writer is keyed by address — it models the node's disk — so
      these survive a crash-restart where the node object does not. *)
   let cstat f () =
-    match Hashtbl.find_opt t.ckpt_writers addr with
+    match Strtbl.find_opt t.ckpt_writers addr with
     | Some w -> f (Checkpoint.stats w)
     | None -> 0.
   in
@@ -477,8 +482,8 @@ let wire_node ?tracer_config ?trace t addr =
   ckpt "ckpt.retention_drops" (fun s -> float_of_int s.Checkpoint.retention_drops);
   Metrics.register (Node.registry node) "ckpt.last_stamp" Metrics.KGauge
     (cstat (fun s -> if Float.is_nan s.Checkpoint.last_stamp then 0. else s.Checkpoint.last_stamp));
-  Hashtbl.replace t.nodes addr node;
-  Hashtbl.replace t.transports addr tr;
+  Strtbl.replace t.nodes addr node;
+  Strtbl.replace t.transports addr tr;
   t.addrs_cache <- None;
   schedule t
     ~at:(t.clock +. sweep_interval)
@@ -487,7 +492,7 @@ let wire_node ?tracer_config ?trace t addr =
 
 let add_node ?tracer_config ?trace t addr =
   guard t "Engine.add_node";
-  if Hashtbl.mem t.nodes addr then
+  if Strtbl.mem t.nodes addr then
     invalid_arg (Fmt.str "Engine.add_node: duplicate node %s" addr);
   wire_node ?tracer_config ?trace t addr
 
@@ -496,8 +501,8 @@ let add_node ?tracer_config ?trace t addr =
    re-reads when it restarts: [restart] replays it oldest-first into
    the reborn node. *)
 let record tbl addr entry =
-  Hashtbl.replace tbl addr
-    (entry :: Option.value (Hashtbl.find_opt tbl addr) ~default:[])
+  Strtbl.replace tbl addr
+    (entry :: Option.value (Strtbl.find_opt tbl addr) ~default:[])
 
 (** Install OverLog source on one node — usable at any point in the
     run (the paper's on-line piecemeal deployment). *)
@@ -512,7 +517,7 @@ let install t addr source =
     instead of being logged and installed anyway. *)
 let set_strict_install t b =
   t.strict_install <- b;
-  Hashtbl.iter (fun _ n -> Node.set_strict_install n b) t.nodes
+  Strtbl.iter (fun _ n -> Node.set_strict_install n b) t.nodes
 
 let install_ast t addr program =
   let n = node t addr in
@@ -554,11 +559,11 @@ let collect t addr name =
 (* --- Durable checkpoints --- *)
 
 let ckpt_writer t addr (dir, config) =
-  match Hashtbl.find_opt t.ckpt_writers addr with
+  match Strtbl.find_opt t.ckpt_writers addr with
   | Some w -> w
   | None ->
       let w = Checkpoint.create ~config ~dir:(Filename.concat dir addr) () in
-      Hashtbl.replace t.ckpt_writers addr w;
+      Strtbl.replace t.ckpt_writers addr w;
       w
 
 (* Hard-state selection: catalog tables with infinite lifetime, minus
@@ -619,8 +624,8 @@ let set_checkpoint ?(config = Checkpoint.default_config) t dir =
   (match t.checkpoint with
   | Some (old_dir, _) when old_dir <> dir ->
       (* Redirecting to a fresh root: writers are per-directory. *)
-      Hashtbl.iter (fun _ w -> Checkpoint.close w) t.ckpt_writers;
-      Hashtbl.reset t.ckpt_writers
+      Strtbl.iter (fun _ w -> Checkpoint.close w) t.ckpt_writers;
+      Strtbl.reset t.ckpt_writers
   | _ -> ());
   t.checkpoint <- Some (dir, config);
   if not t.ckpt_armed then begin
@@ -634,8 +639,8 @@ let checkpoint_dir t = Option.map fst t.checkpoint
 (** Stop checkpointing and release the writers. Snapshot files stay
     on disk; the armed periodic callback dies at its next firing. *)
 let close_checkpoints t =
-  Hashtbl.iter (fun _ w -> Checkpoint.close w) t.ckpt_writers;
-  Hashtbl.reset t.ckpt_writers;
+  Strtbl.iter (fun _ w -> Checkpoint.close w) t.ckpt_writers;
+  Strtbl.reset t.ckpt_writers;
   t.checkpoint <- None;
   t.ckpt_armed <- false
 
@@ -653,7 +658,7 @@ let handle t event =
          after a restart both sides renegotiate from sequence 1, and a
          stale frame would otherwise alias into the fresh channel. *)
       if inc = incarnation t dst && not (Sim.Network.is_crashed t.network dst) then
-        match Hashtbl.find_opt t.transports dst with
+        match Strtbl.find_opt t.transports dst with
         | Some tr -> Transport.receive tr ~src packet
         | None -> ())
   | Timer { addr; inc; req } -> (
@@ -877,33 +882,33 @@ let remove_node t addr =
       Seglog.close w;
       Node.set_trace_log n None
   | None -> ());
-  Hashtbl.remove t.nodes addr;
-  (match Hashtbl.find_opt t.transports addr with
+  Strtbl.remove t.nodes addr;
+  (match Strtbl.find_opt t.transports addr with
   | Some tr ->
       Transport.stop tr;
-      Hashtbl.remove t.transports addr
+      Strtbl.remove t.transports addr
   | None -> ());
-  Hashtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
+  Strtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
   Sim.Network.forget t.network addr;
   let stale =
-    Hashtbl.fold
+    Strtbl.Pair.fold
       (fun ((src, dst) as k) _ acc ->
         if String.equal src addr || String.equal dst addr then k :: acc else acc)
       t.inflight []
   in
-  List.iter (Hashtbl.remove t.inflight) stale;
+  List.iter (Strtbl.Pair.remove t.inflight) stale;
   (* Per-address recovery state goes too: the address can't be reused,
      so keeping recorded programs / watches / checkpoint writers would
      leak across a long churn campaign. Checkpoint files stay on disk
      for forensics. *)
-  (match Hashtbl.find_opt t.ckpt_writers addr with
+  (match Strtbl.find_opt t.ckpt_writers addr with
   | Some w ->
       Checkpoint.close w;
-      Hashtbl.remove t.ckpt_writers addr
+      Strtbl.remove t.ckpt_writers addr
   | None -> ());
-  Hashtbl.remove t.programs addr;
-  Hashtbl.remove t.host_watches addr;
-  Hashtbl.remove t.incarnations addr;
+  Strtbl.remove t.programs addr;
+  Strtbl.remove t.host_watches addr;
+  Strtbl.remove t.incarnations addr;
   t.addrs_cache <- None
 
 (* --- Fault injection --- *)
@@ -940,21 +945,21 @@ let restart ?tracer_config ?trace t addr =
       Seglog.close w;
       Node.set_trace_log old None
   | None -> ());
-  (match Hashtbl.find_opt t.transports addr with
+  (match Strtbl.find_opt t.transports addr with
   | Some tr ->
       Transport.stop tr;
-      Hashtbl.remove t.transports addr
+      Strtbl.remove t.transports addr
   | None -> ());
-  Hashtbl.remove t.nodes addr;
+  Strtbl.remove t.nodes addr;
   (* Peer re-handshake: every surviving transport forgets its channel
      to [addr], so both sides renegotiate from sequence 1 / cumulative
      ack 0 when traffic resumes. Frames queued toward the dead
      incarnation are legitimately lost — restart is reset-not-replay;
      durability is the checkpoint's job, not the send queue's. *)
-  Hashtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
+  Strtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
   (* Bump the incarnation: packets, timers and sweeps minted for the
      previous life die in [handle] instead of reaching the new one. *)
-  Hashtbl.replace t.incarnations addr (incarnation t addr + 1);
+  Strtbl.replace t.incarnations addr (incarnation t addr + 1);
   Sim.Network.recover t.network addr;
   let node = wire_node ?tracer_config ?trace t addr in
   (* Replay the recorded configuration oldest-first — programs then
@@ -965,10 +970,10 @@ let restart ?tracer_config ?trace t addr =
     (function
       | Src_text s -> Node.install_text node s
       | Src_ast p -> Node.install node p)
-    (List.rev (Option.value (Hashtbl.find_opt t.programs addr) ~default:[]));
+    (List.rev (Option.value (Strtbl.find_opt t.programs addr) ~default:[]));
   List.iter
     (fun (name, f) -> Node.watch node name f)
-    (List.rev (Option.value (Hashtbl.find_opt t.host_watches addr) ~default:[]));
+    (List.rev (Option.value (Strtbl.find_opt t.host_watches addr) ~default:[]));
   (* Restore hard state from the newest intact snapshot, scanning past
      damaged files; re-minted rows go through [deliver], so delta
      strands fire and the recovery cascade (e.g. Chord re-advertising

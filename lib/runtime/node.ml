@@ -17,6 +17,26 @@ type peer_stats = {
   mutable rx_bytes : int;
 }
 
+(* Everything the per-tuple path needs to know about one predicate,
+   found with one lookup (DESIGN.md §8). A node's routes are the only
+   record of its event strands and watches, and the three mutations
+   that change routing (a new table, strand or watch) update the
+   route in place, so no route is ever stale. *)
+type route = {
+  mutable rows : rows;
+  mutable strands : Dataflow.Strand.t list;  (* event strands, install order *)
+  mutable watchers : (Tuple.t -> unit) list;  (* newest first *)
+  traced : bool;  (* the tracer registers tuples of this name *)
+}
+
+(* Where a predicate's tuples live. *)
+and rows =
+  | Catalog_table of Store.Table.t  (* materialized: tuples are stored *)
+  | Tracer_table of Store.Table.t
+      (* [ruleExec]/[tupleTable]: the tracer's introspection tables,
+         queryable like any other (paper §2.1) *)
+  | Stream  (* an event: tuples go to event strands *)
+
 type t = {
   addr : string;
   catalog : Store.Catalog.t;
@@ -29,13 +49,11 @@ type t = {
   msgs_rx : Metrics.Counter.t;
   bytes_tx : Metrics.Counter.t;
   bytes_rx : Metrics.Counter.t;
-  peers : (string, peer_stats) Hashtbl.t;
+  peers : peer_stats Strtbl.t;
   rng : Sim.Rng.t;
   tracer : Dataflow.Tracer.t;
   mutable machine : Dataflow.Machine.t;
-  event_strands : (string, Dataflow.Strand.t list ref) Hashtbl.t;
-  delta_strands : (string, Dataflow.Strand.t list ref) Hashtbl.t;
-  watches : (string, (Tuple.t -> unit) list ref) Hashtbl.t;
+  routes : route Strtbl.t;
   mutable next_tuple_id : int;
   clock : (unit -> float) ref;
   mutable now : unit -> float;
@@ -78,15 +96,15 @@ let registry t = t.registry
 let tracer t = t.tracer
 
 let peer t addr =
-  match Hashtbl.find_opt t.peers addr with
+  match Strtbl.find_opt t.peers addr with
   | Some p -> p
   | None ->
       let p = { tx_msgs = 0; tx_bytes = 0; rx_msgs = 0; rx_bytes = 0 } in
-      Hashtbl.replace t.peers addr p;
+      Strtbl.replace t.peers addr p;
       p
 
 let peers t =
-  Hashtbl.fold (fun a p acc -> (a, p) :: acc) t.peers []
+  Strtbl.fold (fun a p acc -> (a, p) :: acc) t.peers []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 let dead_events t = t.dead_events
 let rules_installed t = t.rules_installed
@@ -99,29 +117,43 @@ let eval_context t =
     local_addr = t.addr;
   }
 
-(* A catalog table, or one of the tracer's introspection tables, which
-   are queryable like any other (paper §2.1). *)
-let find_table t name =
-  match Store.Catalog.find t.catalog name with
-  | Some table -> Some table
-  | None -> (
-      match name with
-      | "ruleExec" -> Some (Dataflow.Tracer.rule_exec_table t.tracer)
-      | "tupleTable" -> Some (Dataflow.Tracer.tuple_table t.tracer)
-      | _ -> None)
+let route t name =
+  match Strtbl.find_opt t.routes name with
+  | Some r -> r
+  | None ->
+      let rows =
+        match (Store.Catalog.find t.catalog name, name) with
+        | Some table, _ -> Catalog_table table
+        | None, "ruleExec" -> Tracer_table (Dataflow.Tracer.rule_exec_table t.tracer)
+        | None, "tupleTable" -> Tracer_table (Dataflow.Tracer.tuple_table t.tracer)
+        | None, _ -> Stream
+      in
+      let r =
+        {
+          rows;
+          strands = [];
+          watchers = [];
+          traced =
+            not (List.mem name system_tables || List.mem name reflected_tables);
+        }
+      in
+      Strtbl.replace t.routes name r;
+      r
 
 let scan t name =
-  match find_table t name with
-  | Some table -> Store.Table.tuples table ~now:(t.now ())
-  | None -> []
+  match (route t name).rows with
+  | Catalog_table table | Tracer_table table ->
+      Store.Table.tuples table ~now:(t.now ())
+  | Stream -> []
 
 (* Indexed access path for join stages with bound argument positions,
    over catalog and tracer tables alike; an unknown predicate has no
    rows either way. *)
 let probe t name ~positions ~values =
-  match find_table t name with
-  | Some table -> Store.Table.probe table ~now:(t.now ()) ~positions ~values
-  | None -> []
+  match (route t name).rows with
+  | Catalog_table table | Tracer_table table ->
+      Store.Table.probe table ~now:(t.now ()) ~positions ~values
+  | Stream -> []
 
 let is_table t name =
   Store.Catalog.is_table t.catalog name || List.mem name system_tables
@@ -131,47 +163,41 @@ let create_tuple t ~dst name fields =
   let id = fresh_tuple_id t in
   let tuple = Tuple.make ~id name fields in
   Metrics.Counter.incr t.tuples_created;
-  if not (List.mem name system_tables || List.mem name reflected_tables) then
+  if (route t name).traced then
     Dataflow.Tracer.register_tuple t.tracer tuple ~src:t.addr ~src_id:id ~dst;
   tuple
 
-let strand_list tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some l -> !l
-  | None -> []
-
-let add_strand tbl name strand =
-  match Hashtbl.find_opt tbl name with
-  | Some l -> l := !l @ [ strand ]
-  | None -> Hashtbl.replace tbl name (ref [ strand ])
-
-(* Deliver a tuple that has materialized locally: notify watches, then
-   either insert it (materialized predicate — delta strands fire via
-   the table subscription) or hand it to event strands. *)
-let rec deliver t tuple =
+(* Run [f] as one delivery: the agenda drains when the outermost
+   delivery returns. *)
+let delivering t f =
   t.delivering <- t.delivering + 1;
   Fun.protect
     ~finally:(fun () ->
       t.delivering <- t.delivering - 1;
       if t.delivering = 0 then Dataflow.Machine.drain t.machine)
-    (fun () ->
-      let name = Tuple.name tuple in
-      (match Hashtbl.find_opt t.watches name with
-      | Some fs -> List.iter (fun f -> f tuple) !fs
-      | None -> ());
-      match Store.Catalog.find t.catalog name with
-      | Some table ->
+    f
+
+(* Deliver a tuple that has materialized locally: notify watches, then
+   either insert it (materialized predicate — delta strands fire via
+   the table subscription) or hand it to event strands. *)
+let rec deliver t tuple = deliver_via t (route t (Tuple.name tuple)) tuple
+
+(* A watch may install a table, strand or watch on this very name:
+   the route is read again after the watches ran. *)
+and deliver_via t r tuple =
+  delivering t (fun () ->
+      List.iter (fun f -> f tuple) r.watchers;
+      match r.rows with
+      | Catalog_table table ->
           Metrics.Gauge.add t.work Dataflow.Cost.table_insert;
-          let _ = Store.Table.insert table ~now:(t.now ()) tuple in
-          ()
-      | None ->
-          let strands = strand_list t.event_strands name in
-          if strands = [] && not (Hashtbl.mem t.watches name) then
-            t.dead_events <- t.dead_events + 1
-          else
-            List.iter
-              (fun s -> ignore (Dataflow.Machine.trigger t.machine s tuple))
-              strands)
+          ignore (Store.Table.insert table ~now:(t.now ()) tuple)
+      | Tracer_table _ | Stream -> (
+          match (r.strands, r.watchers) with
+          | [], [] -> t.dead_events <- t.dead_events + 1
+          | strands, _ ->
+              List.iter
+                (fun s -> ignore (Dataflow.Machine.trigger t.machine s tuple))
+                strands))
 
 and emit t ~delete tuple =
   let dst = Tuple.location tuple in
@@ -191,9 +217,9 @@ and emit t ~delete tuple =
 (* Delete-head semantics: fields bound in the pattern must match; VNull
    fields are wildcards (cs10 binds only some head variables). *)
 and apply_delete t pattern =
-  match Store.Catalog.find t.catalog (Tuple.name pattern) with
-  | None -> ()
-  | Some table ->
+  match (route t (Tuple.name pattern)).rows with
+  | Tracer_table _ | Stream -> ()
+  | Catalog_table table ->
       let matches candidate =
         Tuple.arity candidate = Tuple.arity pattern
         && List.for_all2
@@ -216,9 +242,32 @@ let receive t ?(bytes = 0) ~src ~src_tuple_id ~delete ~name ~fields () =
   let id = fresh_tuple_id t in
   let tuple = Tuple.make ~id name fields in
   Metrics.Counter.incr t.tuples_created;
-  if not (List.mem name system_tables || List.mem name reflected_tables) then
+  let r = route t name in
+  if r.traced then
     Dataflow.Tracer.register_tuple t.tracer tuple ~src ~src_id:src_tuple_id ~dst:t.addr;
-  if delete then apply_delete t tuple else deliver t tuple
+  if delete then apply_delete t tuple else deliver_via t r tuple
+
+(* Reflect [name(addr, fields...)] (P2stats). A row already stored with
+   these contents is refreshed in place, as [deliver] would refresh it
+   — the same insert charge, lifetime touch and [Refresh] delta — but
+   no tuple is minted and the agenda drains only if the expiry sweep
+   queued work. A new or changed row, or a watched name, takes the
+   mint-and-deliver path. *)
+let reflect t name fields =
+  let fields = Value.VAddr t.addr :: fields in
+  let r = route t name in
+  match (r.rows, r.watchers) with
+  | Catalog_table table, [] ->
+      Metrics.Gauge.add t.work Dataflow.Cost.table_insert;
+      let now = t.now () in
+      if Store.Table.refresh table ~now (Tuple.make name fields) then begin
+        if t.delivering = 0 && Dataflow.Machine.agenda_depth t.machine > 0 then
+          Dataflow.Machine.drain t.machine
+      end
+      else
+        let tuple = create_tuple t ~dst:t.addr name fields in
+        delivering t (fun () -> ignore (Store.Table.insert table ~now tuple))
+  | _ -> deliver_via t r (create_tuple t ~dst:t.addr name fields)
 
 let dummy_machine addr =
   Dataflow.Machine.create
@@ -344,13 +393,11 @@ let create ~addr ~rng ?(trace = false) ?tracer_config () =
       msgs_rx = Metrics.Counter.create ();
       bytes_tx = Metrics.Counter.create ();
       bytes_rx = Metrics.Counter.create ();
-      peers = Hashtbl.create 8;
+      peers = Strtbl.create 8;
       rng;
       tracer;
       machine = dummy_machine addr;
-      event_strands = Hashtbl.create 16;
-      delta_strands = Hashtbl.create 16;
-      watches = Hashtbl.create 8;
+      routes = Strtbl.create 32;
       next_tuple_id = 1;
       clock;
       now = local_now;
@@ -409,9 +456,8 @@ let set_timer_handler t f = t.on_timer_request <- f
 let machine t = t.machine
 
 let watch t name f =
-  match Hashtbl.find_opt t.watches name with
-  | Some fs -> fs := f :: !fs
-  | None -> Hashtbl.replace t.watches name (ref [ f ])
+  let r = route t name in
+  r.watchers <- f :: r.watchers
 
 let fresh_rule_id t () =
   t.anon_rule_counter <- t.anon_rule_counter + 1;
@@ -421,16 +467,17 @@ let fresh_rule_id t () =
    request timers. *)
 let install_strand t (s : Dataflow.Strand.t) =
   match s.trigger with
-  | Dataflow.Strand.Event atom -> add_strand t.event_strands atom.pred s
+  | Dataflow.Strand.Event atom ->
+      let r = route t atom.pred in
+      r.strands <- r.strands @ [ s ]
   | Dataflow.Strand.Periodic { period; _ } -> t.on_timer_request { strand = s; period }
   | Dataflow.Strand.Table_delta atom -> (
-      add_strand t.delta_strands atom.pred s;
-      match find_table t atom.pred with
-      | None ->
+      match (route t atom.pred).rows with
+      | Stream ->
           raise
             (Dataflow.Strand.Compile_error
                (Fmt.str "delta strand over unknown table %s" atom.pred))
-      | Some table ->
+      | Catalog_table table | Tracer_table table ->
           let is_agg = s.aggregate <> None in
           Store.Table.subscribe table (function
             | Store.Table.Insert tuple ->
@@ -449,7 +496,9 @@ let analysis_env t =
     Analysis.ext_tables =
       List.map (fun n -> (n, None)) (Store.Catalog.names t.catalog @ system_tables);
     ext_events =
-      Hashtbl.fold (fun name _ acc -> (name, None) :: acc) t.event_strands [];
+      Strtbl.fold
+        (fun name r acc -> match r.strands with [] -> acc | _ -> (name, None) :: acc)
+        t.routes [];
   }
 
 (** Install a parsed program. The semantic analyzer runs first: under
@@ -477,8 +526,11 @@ let install t (program : Ast.program) =
   List.iter
     (function
       | Ast.Materialize m ->
-          if not (Store.Catalog.is_table t.catalog m.mname) then
-            Store.Catalog.add t.catalog (Store.Table.of_materialize m)
+          if not (Store.Catalog.is_table t.catalog m.mname) then begin
+            let table = Store.Table.of_materialize m in
+            Store.Catalog.add t.catalog table;
+            (route t m.mname).rows <- Catalog_table table
+          end
       | _ -> ())
     materializes;
   List.iter

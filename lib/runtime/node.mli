@@ -42,6 +42,10 @@ val reflected_tables : string list
 val system_tables : string list
 
 val addr : t -> string
+
+(** The node's materialized tables. Add tables with {!install}: the
+    node resolves each predicate's routing once, and only [install]
+    tells that routing about a new table. *)
 val catalog : t -> Store.Catalog.t
 
 (** This node's metric registry, its only metric layer. Every runtime
@@ -113,6 +117,15 @@ val create_tuple : t -> dst:string -> string -> Value.t list -> Tuple.t
 
 (** Deliver a local tuple: watches, table insert or event strands. *)
 val deliver : t -> Tuple.t -> unit
+
+(** Reflect the row [name(addr, fields...)] of a reflection table
+    (P2stats). A row whose contents are already stored is refreshed in
+    place, exactly as {!deliver} would refresh it: the same
+    [Cost.table_insert] charge and lifetime touch, no table delta.
+    No tuple is minted for it, so [node.tuples_created] and
+    [machine.drains] count only new or changed rows. A new or changed
+    row, or any row of a watched name, is minted and delivered. *)
+val reflect : t -> string -> Value.t list -> unit
 
 (** A tuple arrived from the network. [bytes] is the wire-frame size
     when the transport knows it (defaults to 0), credited to the

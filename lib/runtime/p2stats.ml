@@ -6,12 +6,14 @@
     aggregate, join and alert over the runtime's own vital signs
     exactly as they do over application state.
 
-    Reflected tuples go through [Node.deliver], not a bare table
-    insert: delta strands over the stats tables fire and the agenda
-    drains, so a pure-OverLog watchdog (see [Core.Watchdog]) reacts
-    within the same tick. Rows carry the reflection-time value; a
-    value that did not change only refreshes the row's lifetime
-    (no delta), so watchdog rules re-fire only on movement. *)
+    Rows go through [Node.reflect]. A new or changed row is minted
+    and delivered, not inserted raw: delta strands over the stats
+    tables fire and the agenda drains, so a pure-OverLog watchdog
+    (see [Core.Watchdog]) reacts within the same tick. A row whose
+    value did not change is only refreshed in place: its lifetime is
+    extended, no tuple is minted and no delta fires, so watchdog rules
+    re-fire only on movement and reflection costs little beyond what
+    changed. *)
 
 open Overlog
 
@@ -39,13 +41,6 @@ materialize(p2Rule, %g, 10000, keys(1,2)).
 let vint i = Value.VInt i
 let vstr s = Value.VStr s
 
-(* Deliver one reflection tuple locally. [deliver] (not a raw table
-   insert) so watches and delta strands see it and the agenda drains. *)
-let reflect_tuple node name fields =
-  let addr = Node.addr node in
-  let tuple = Node.create_tuple node ~dst:addr name (Value.VAddr addr :: fields) in
-  Node.deliver node tuple
-
 let ensure_schema ~period node =
   if not (Store.Catalog.is_table (Node.catalog node) "p2Stats") then
     Node.install_text node (schema ~period ())
@@ -58,7 +53,7 @@ let reflect_node ?transport ~period node =
   ensure_schema ~period node;
   List.iter
     (fun (s : Metrics.sample) ->
-      reflect_tuple node "p2Stats" [ vstr s.name; Value.VFloat s.value ])
+      Node.reflect node "p2Stats" [ vstr s.name; Value.VFloat s.value ])
     (Metrics.snapshot (Node.registry node));
   let now = Node.local_time node in
   let catalog = Node.catalog node in
@@ -66,7 +61,7 @@ let reflect_node ?transport ~period node =
     (fun tname ->
       if not (List.mem tname Node.reflected_tables) then begin
         let s = Store.Table.stats (Store.Catalog.find_exn catalog tname) ~now in
-        reflect_tuple node "p2TableStats"
+        Node.reflect node "p2TableStats"
           [
             vstr tname; vint s.live; vint s.inserts; vint s.deletes;
             vint s.expirations; vint s.evictions; vint s.probes;
@@ -75,14 +70,14 @@ let reflect_node ?transport ~period node =
     (Store.Catalog.names catalog);
   List.iter
     (fun (peer, (p : Node.peer_stats)) ->
-      reflect_tuple node "p2NetStats"
+      Node.reflect node "p2NetStats"
         [ vstr peer; vint p.tx_msgs; vint p.tx_bytes; vint p.rx_msgs; vint p.rx_bytes ])
     (Node.peers node);
   Option.iter
     (fun tr ->
       List.iter
         (fun (p : Transport.peer_info) ->
-          reflect_tuple node "p2PeerStatus"
+          Node.reflect node "p2PeerStatus"
             [
               vstr p.peer;
               vstr (Transport.status_name p.status);
@@ -93,7 +88,7 @@ let reflect_node ?transport ~period node =
         (Transport.peers tr))
     transport;
   List.iter
-    (fun (rule_id, text) -> reflect_tuple node "p2Rule" [ vstr rule_id; vstr text ])
+    (fun (rule_id, text) -> Node.reflect node "p2Rule" [ vstr rule_id; vstr text ])
     (Node.rules node)
 
 (** Attach periodic reflection to every node of the engine, present

@@ -18,7 +18,9 @@
 
     Reflection rows for unchanged values only refresh their lifetime
     (no table delta), so delta rules over these tables fire exactly on
-    movement. *)
+    movement. Such a row is refreshed in place ({!Node.reflect}): no
+    tuple is minted and nothing is delivered, so [node.tuples_created]
+    and [machine.drains] count only new or changed rows. *)
 
 (** The [materialize] schema for the five reflection tables. Rows live
     for three reflection periods, so a node that stops reflecting ages
@@ -28,9 +30,9 @@ val schema : ?period:float -> unit -> string
 
 (** Reflect one node's current registry, table stats, peer stats and
     installed rules into its catalog, installing the schema first if
-    needed. Tuples go
-    through [Node.deliver], so delta strands fire and the agenda
-    drains before this returns. [transport] additionally reflects the
+    needed. New or changed rows go through [Node.deliver], so delta
+    strands fire and the agenda drains before this returns; unchanged
+    rows are refreshed in place. [transport] additionally reflects the
     failure detector's per-peer verdicts as [p2PeerStatus] rows. *)
 val reflect_node : ?transport:Transport.t -> period:float -> Node.t -> unit
 

@@ -100,6 +100,10 @@ type chan = {
   mutable last_heard : float;
   mutable misses : int;
   mutable status : status;
+  mutable live : bool;
+      (* false once [forget_peer] drops the channel: a channel outlives
+         the frames on it, so stale timer closures check that the
+         channel they captured is still the live one *)
 }
 
 type peer_info = {
@@ -114,7 +118,7 @@ type t = {
   addr : string;
   cfg : config;
   rng : Sim.Rng.t;
-  chans : (string, chan) Hashtbl.t;
+  chans : chan Strtbl.t;
   mutable reliable : bool;
   mutable batching : bool;  (* coalesce one event's sends per peer *)
   mutable dirty : chan list;
@@ -155,14 +159,8 @@ let set_deliver t f = t.deliver <- f
     stale and the heartbeat tick stops rescheduling itself. *)
 let stop t = t.stopped <- true
 
-(* The channel table is keyed by peer address; a channel outlives the
-   frames on it, so stale timer closures double-check that the channel
-   they captured is still the live one (forget_peer swaps it out). *)
-let chan_live t (c : chan) =
-  match Hashtbl.find_opt t.chans c.peer with Some c' -> c' == c | None -> false
-
 let chan t peer =
-  match Hashtbl.find_opt t.chans peer with
+  match Strtbl.find_opt t.chans peer with
   | Some c -> c
   | None ->
       let now = t.now () in
@@ -179,9 +177,10 @@ let chan t peer =
           last_heard = now;
           misses = 0;
           status = Alive;
+          live = true;
         }
       in
-      Hashtbl.replace t.chans peer c;
+      Strtbl.replace t.chans peer c;
       c
 
 (* --- retransmit-rate window --- *)
@@ -254,7 +253,7 @@ and arm_retx t c e =
 
 and on_retx_timer t c e deadline =
   (* Stale if the frame was acked, re-armed, or the channel forgotten. *)
-  if t.reliable && (not t.stopped) && e.deadline = deadline && chan_live t c then
+  if t.reliable && (not t.stopped) && e.deadline = deadline && c.live then
     if not (t.active ()) then
       (* crashed host: stay silent but keep the frame armed, so
          retransmission resumes after recovery *)
@@ -344,7 +343,7 @@ let send_group t c items =
 (* Drain one coalescing buffer into delta-batch groups of at most
    [max_batch] tuples each. A retired channel's tuples die with it. *)
 let flush_buffer t c =
-  if t.stopped || not (chan_live t c) then Queue.clear c.buffer
+  if t.stopped || not (c.live) then Queue.clear c.buffer
   else
     while not (Queue.is_empty c.buffer) do
       let rec take n acc =
@@ -385,7 +384,7 @@ let schedule_ack t (c : chan) =
     c.ack_pending <- true;
     t.schedule t.cfg.ack_delay (fun () ->
         (* piggybacked (cleared) or channel forgotten -> stale *)
-        if c.ack_pending && (not t.stopped) && chan_live t c then begin
+        if c.ack_pending && (not t.stopped) && c.live then begin
           c.ack_pending <- false;
           if t.active () then begin
             Metrics.Counter.incr t.tx_acks;
@@ -476,9 +475,9 @@ let rec heartbeat_tick t =
   (if not (t.active ()) then
      (* Crashed host: freeze the detector instead of accusing every
         peer of the silence we caused; recovery restarts with grace. *)
-     Hashtbl.iter (fun _ c -> c.last_heard <- t.now ()) t.chans
+     Strtbl.iter (fun _ c -> c.last_heard <- t.now ()) t.chans
    else if t.reliable then
-     Hashtbl.iter
+     Strtbl.iter
        (fun _ c ->
          if t.now () -. c.last_heard >= t.cfg.heartbeat_period then begin
            (* the previous probe (or traffic) went unanswered *)
@@ -501,7 +500,7 @@ let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~activ
       addr;
       cfg = config;
       rng;
-      chans = Hashtbl.create 8;
+      chans = Strtbl.create 8;
       reliable = true;
       batching = true;
       dirty = [];
@@ -539,21 +538,21 @@ let buffered t =
   List.fold_left (fun acc (c : chan) -> acc + Queue.length c.buffer) 0 t.dirty
 
 let sendq_depth t =
-  Hashtbl.fold
+  Strtbl.fold
     (fun _ c acc ->
       acc + Queue.length c.unacked + Queue.length c.pending
       + Queue.length c.buffer)
     t.chans 0
 
 let count_status t s =
-  Hashtbl.fold
+  Strtbl.fold
     (fun _ (c : chan) acc -> if c.status = s then acc + 1 else acc)
     t.chans 0
 
 (** Per-peer channel and failure-detector state, sorted by peer — the
     source of the [p2PeerStatus] reflection rows and [p2ql peers]. *)
 let peers t =
-  Hashtbl.fold
+  Strtbl.fold
     (fun _ (c : chan) acc ->
       {
         peer = c.peer;
@@ -569,11 +568,17 @@ let peers t =
   |> List.sort (fun a b -> String.compare a.peer b.peer)
 
 let peer_status t peer =
-  Option.map (fun (c : chan) -> c.status) (Hashtbl.find_opt t.chans peer)
+  Option.map (fun (c : chan) -> c.status) (Strtbl.find_opt t.chans peer)
 
 (** Drop all state for a retired peer: queued frames, reorder buffer,
-    detector state. Armed timers go stale via {!chan_live}. *)
-let forget_peer t peer = Hashtbl.remove t.chans peer
+    detector state. Armed timers go stale: the channel is no longer
+    [live]. *)
+let forget_peer t peer =
+  match Strtbl.find_opt t.chans peer with
+  | Some c ->
+      c.live <- false;
+      Strtbl.remove t.chans peer
+  | None -> ()
 
 let retransmit_count t = Metrics.Counter.value t.retransmits
 let duplicate_count t = Metrics.Counter.value t.rx_duplicates

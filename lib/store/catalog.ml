@@ -4,36 +4,36 @@
     event stream (transient tuples). *)
 
 type t = {
-  tables : (string, Table.t) Hashtbl.t;
+  tables : Table.t Strtbl.t;
   mutable names_cache : string list option;
       (* sorted; rebuilt on the first [names] after an [add] rather
          than re-sorting on every call *)
 }
 
-let create () = { tables = Hashtbl.create 16; names_cache = None }
+let create () = { tables = Strtbl.create 16; names_cache = None }
 
 let add t table =
   let name = Table.name table in
-  if Hashtbl.mem t.tables name then
+  if Strtbl.mem t.tables name then
     invalid_arg (Fmt.str "Catalog.add: table %s already materialized" name);
-  Hashtbl.replace t.tables name table;
+  Strtbl.replace t.tables name table;
   t.names_cache <- None
 
-let find t name = Hashtbl.find_opt t.tables name
+let find t name = Strtbl.find_opt t.tables name
 
 let find_exn t name =
   match find t name with
   | Some table -> table
   | None -> invalid_arg (Fmt.str "Catalog.find_exn: no table %s" name)
 
-let is_table t name = Hashtbl.mem t.tables name
+let is_table t name = Strtbl.mem t.tables name
 
 let names t =
   match t.names_cache with
   | Some ns -> ns
   | None ->
       let ns =
-        Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [] |> List.sort compare
+        Strtbl.fold (fun k _ acc -> k :: acc) t.tables [] |> List.sort compare
       in
       t.names_cache <- Some ns;
       ns
@@ -41,7 +41,7 @@ let names t =
 let iter t f = List.iter (fun n -> f (find_exn t n)) (names t)
 
 let total_live t ~now =
-  Hashtbl.fold (fun _ table acc -> acc + Table.size table ~now) t.tables 0
+  Strtbl.fold (fun _ table acc -> acc + Table.size table ~now) t.tables 0
 
 let total_bytes t ~now =
-  Hashtbl.fold (fun _ table acc -> acc + Table.bytes table ~now) t.tables 0
+  Strtbl.fold (fun _ table acc -> acc + Table.bytes table ~now) t.tables 0

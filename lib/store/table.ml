@@ -116,7 +116,7 @@ end
    [Value.equal] exactly like the main table. *)
 type index = {
   ipositions : int list;
-  buckets : (string, (string, row) Hashtbl.t) Hashtbl.t;
+  buckets : row Strtbl.t Strtbl.t;
 }
 
 type t = {
@@ -124,7 +124,7 @@ type t = {
   lifetime : float;
   max_size : int option;
   keys : int list;  (** 1-indexed field positions; [] = whole tuple *)
-  rows : (string, row) Hashtbl.t;  (** key-string -> row *)
+  rows : row Strtbl.t;  (** key-string -> row *)
   mutable next_seq : int;
   mutable subs_rev : (delta -> unit) list;  (* newest first *)
   mutable subs_arr : (delta -> unit) array option;  (* install order *)
@@ -144,7 +144,7 @@ let create ?(lifetime = infinity) ?max_size ?(keys = []) name =
     lifetime;
     max_size;
     keys;
-    rows = Hashtbl.create 16;
+    rows = Strtbl.create 16;
     next_seq = 0;
     subs_rev = [];
     subs_arr = None;
@@ -205,21 +205,21 @@ let bucket_key idx tuple = canonical_cat (Tuple.key_of tuple idx.ipositions)
 let index_add idx k row =
   let bk = bucket_key idx row.tuple in
   let bucket =
-    match Hashtbl.find_opt idx.buckets bk with
+    match Strtbl.find_opt idx.buckets bk with
     | Some b -> b
     | None ->
-        let b = Hashtbl.create 4 in
-        Hashtbl.replace idx.buckets bk b;
+        let b = Strtbl.create 4 in
+        Strtbl.replace idx.buckets bk b;
         b
   in
-  Hashtbl.replace bucket k row
+  Strtbl.replace bucket k row
 
 let index_remove idx k row =
   let bk = bucket_key idx row.tuple in
-  match Hashtbl.find_opt idx.buckets bk with
+  match Strtbl.find_opt idx.buckets bk with
   | Some bucket ->
-      Hashtbl.remove bucket k;
-      if Hashtbl.length bucket = 0 then Hashtbl.remove idx.buckets bk
+      Strtbl.remove bucket k;
+      if Strtbl.length bucket = 0 then Strtbl.remove idx.buckets bk
   | None -> ()
 
 (* Push the row's current stamp. Stale entries only leave the heap
@@ -232,23 +232,23 @@ let index_remove idx k row =
    amortized cost per push stays O(log N). *)
 let push_stamp t k row =
   Heap.push t.heap { stamp = row.inserted_at; hseq = row.seq; hkey = k };
-  let live = Hashtbl.length t.rows in
+  let live = Strtbl.length t.rows in
   if t.heap.len > (2 * live) + 16 then
     Heap.rebuild t.heap
-      (Hashtbl.fold
+      (Strtbl.fold
          (fun k row acc -> { stamp = row.inserted_at; hseq = row.seq; hkey = k } :: acc)
          t.rows [])
 
 (* Attach/detach keep rows, every index, the age heap and the byte
    total in sync; all row addition/removal must go through them. *)
 let attach t k row =
-  Hashtbl.replace t.rows k row;
+  Strtbl.replace t.rows k row;
   t.bytes <- t.bytes + Tuple.size_bytes row.tuple;
   List.iter (fun idx -> index_add idx k row) t.indexes;
   if tracks_age t then push_stamp t k row
 
 let detach t k row =
-  Hashtbl.remove t.rows k;
+  Strtbl.remove t.rows k;
   t.bytes <- t.bytes - Tuple.size_bytes row.tuple;
   List.iter (fun idx -> index_remove idx k row) t.indexes
 
@@ -263,7 +263,7 @@ let rec heap_min t =
   match Heap.peek t.heap with
   | None -> None
   | Some e -> (
-      match Hashtbl.find_opt t.rows e.hkey with
+      match Strtbl.find_opt t.rows e.hkey with
       | Some row when row.seq = e.hseq && row.inserted_at = e.stamp ->
           Some (e.hkey, row)
       | _ ->
@@ -295,7 +295,7 @@ let expire t ~now =
 
 let size t ~now =
   expire t ~now;
-  Hashtbl.length t.rows
+  Strtbl.length t.rows
 
 (* Eviction victim: least recently inserted/refreshed (soft-state
    semantics: live state keeps getting refreshed and survives). The
@@ -310,7 +310,7 @@ let insert t ~now tuple =
   expire t ~now;
   let k = key_string t tuple in
   let result =
-    match Hashtbl.find_opt t.rows k with
+    match Strtbl.find_opt t.rows k with
     | Some row when Tuple.equal_contents row.tuple tuple ->
         (* Same contents: refresh the soft state's lifetime only. *)
         touch t k row ~now;
@@ -321,7 +321,7 @@ let insert t ~now tuple =
         Replaced
     | None ->
         (match t.max_size with
-        | Some cap when Hashtbl.length t.rows >= cap -> (
+        | Some cap when Strtbl.length t.rows >= cap -> (
             match oldest t with
             | Some (ok, orow) ->
                 detach t ok orow;
@@ -340,11 +340,23 @@ let insert t ~now tuple =
   | Refreshed -> notify t (Refresh tuple));
   result
 
+(* [insert]'s [Refreshed] case alone: no row is added or replaced. *)
+let refresh t ~now tuple =
+  expire t ~now;
+  let k = key_string t tuple in
+  match Strtbl.find_opt t.rows k with
+  | Some row when Tuple.equal_contents row.tuple tuple ->
+      touch t k row ~now;
+      t.insert_count <- t.insert_count + 1;
+      notify t (Refresh tuple);
+      true
+  | _ -> false
+
 (** Delete every row whose contents equal [tuple]'s key. *)
 let delete t ~now tuple =
   expire t ~now;
   let k = key_string t tuple in
-  match Hashtbl.find_opt t.rows k with
+  match Strtbl.find_opt t.rows k with
   | Some row ->
       detach t k row;
       t.delete_count <- t.delete_count + 1;
@@ -353,7 +365,7 @@ let delete t ~now tuple =
   | None -> false
 
 let rows_in_seq_order t =
-  Hashtbl.fold (fun k row acc -> (k, row) :: acc) t.rows []
+  Strtbl.fold (fun k row acc -> (k, row) :: acc) t.rows []
   |> List.sort (fun (_, a) (_, b) -> Stdlib.compare a.seq b.seq)
 
 (** Delete all rows matching a predicate, atomically with respect to
@@ -384,14 +396,14 @@ let iter t ~now f = List.iter f (tuples t ~now)
 
 let mem t ~now tuple =
   expire t ~now;
-  match Hashtbl.find_opt t.rows (key_string t tuple) with
+  match Strtbl.find_opt t.rows (key_string t tuple) with
   | Some row -> Tuple.equal_contents row.tuple tuple
   | None -> false
 
 let clear t =
-  Hashtbl.reset t.rows;
+  Strtbl.reset t.rows;
   t.bytes <- 0;
-  List.iter (fun idx -> Hashtbl.reset idx.buckets) t.indexes;
+  List.iter (fun idx -> Strtbl.reset idx.buckets) t.indexes;
   Heap.clear t.heap
 
 (* --- secondary-index probes ---------------------------------------- *)
@@ -405,8 +417,8 @@ let ensure_index t positions =
   match find_index t positions with
   | Some idx -> idx
   | None ->
-      let idx = { ipositions = positions; buckets = Hashtbl.create 64 } in
-      Hashtbl.iter (fun k row -> index_add idx k row) t.rows;
+      let idx = { ipositions = positions; buckets = Strtbl.create 64 } in
+      Strtbl.iter (fun k row -> index_add idx k row) t.rows;
       t.indexes <- idx :: t.indexes;
       idx
 
@@ -424,10 +436,10 @@ let probe t ~now ~positions ~values =
     expire t ~now;
     t.probe_count <- t.probe_count + 1;
     let idx = ensure_index t positions in
-    match Hashtbl.find_opt idx.buckets (canonical_cat values) with
+    match Strtbl.find_opt idx.buckets (canonical_cat values) with
     | None -> []
     | Some bucket ->
-        Hashtbl.fold (fun _ row acc -> row :: acc) bucket []
+        Strtbl.fold (fun _ row acc -> row :: acc) bucket []
         |> List.sort (fun a b -> Stdlib.compare a.seq b.seq)
         |> List.map (fun row -> row.tuple)
   end

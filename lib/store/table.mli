@@ -46,6 +46,13 @@ val expire : t -> now:float -> unit
 val size : t -> now:float -> int
 val insert : t -> now:float -> Tuple.t -> insert_result
 
+(** [refresh t ~now tuple] does what [insert] does when it would
+    return [Refreshed] — extend the lifetime of the live row holding
+    exactly [tuple]'s contents, count the insert, notify [Refresh] —
+    and returns [true]. When no such row is live it returns [false]
+    and changes nothing but the expiry sweep it runs first. *)
+val refresh : t -> now:float -> Tuple.t -> bool
+
 (** Delete the row whose primary key equals the given tuple's; its
     other fields are not compared. O(1) plus the expiry sweep. *)
 val delete : t -> now:float -> Tuple.t -> bool

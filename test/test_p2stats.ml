@@ -92,6 +92,114 @@ q ruleSeen@N(R, T) :- p2Rule@N(R, T), R == "rx".|};
       Alcotest.(check bool) "queried by id, carries the text" true (Tuple.fields t = row)
   | l -> Alcotest.failf "expected one ruleSeen, got %d" (List.length l)
 
+(* An unchanged reflection row is refreshed in place: the insert
+   charge and lifetime touch a delivery would give it, but no tuple,
+   no drain. A changed row, or a row of a watched name, is minted and
+   delivered. *)
+let test_unchanged_rows_refresh_in_place () =
+  let engine = Engine.create ~seed:1 () in
+  let node = Engine.add_node engine "a" in
+  Engine.install engine "a" (P2stats.schema ~period:1. ());
+  let metric name =
+    Option.value ~default:nan (Metrics.value (Node.registry node) name)
+  in
+  let text () =
+    List.map
+      (fun t -> Value.to_string (Tuple.field t 3))
+      (table_tuples engine "a" "p2Rule")
+  in
+  let reflect v = Node.reflect node "p2Rule" [ Value.VStr "r"; Value.VStr v ] in
+  reflect "one";
+  let created = metric "node.tuples_created" and drains = metric "machine.drains" in
+  let work = metric "node.work_units" in
+  Engine.run_until engine 2.;
+  reflect "one";
+  Alcotest.(check (float 0.)) "unchanged: no tuple minted" created
+    (metric "node.tuples_created");
+  Alcotest.(check (float 0.)) "unchanged: no drain" drains (metric "machine.drains");
+  Alcotest.(check (float 0.)) "unchanged: charged one table insert"
+    (work +. Dataflow.Cost.table_insert) (metric "node.work_units");
+  (* the refresh at t=2 extends the 3 s lifetime past t=3 *)
+  Engine.run_until engine 4.;
+  Alcotest.(check (list string)) "row refreshed, still live" [ "\"one\"" ] (text ());
+  reflect "two";
+  Alcotest.(check (float 0.)) "changed: minted" (created +. 1.)
+    (metric "node.tuples_created");
+  Alcotest.(check (list string)) "changed row stored" [ "\"two\"" ] (text ());
+  let watched = ref 0 in
+  Engine.watch engine "a" "p2Rule" (fun _ -> incr watched);
+  reflect "two";
+  Alcotest.(check int) "watched: delivered" 1 !watched;
+  Alcotest.(check (float 0.)) "watched: minted" (created +. 2.)
+    (metric "node.tuples_created")
+
+(* Refreshing unchanged reflection rows in place must not move any
+   alarm. Every [p2Alarm] as "time node tuple", pinned from the
+   implementation that minted and delivered every row, on (a) the
+   embedded monitor corpus on a live ring with the watchdog at
+   thresholds that fire and (b) a campaign cell with a crash and a
+   partition. *)
+let alarm_digest alarms =
+  let lines =
+    List.map
+      (fun (a : Core.Alarms.alarm) -> Fmt.str "%h %s %a" a.time a.node Tuple.pp a.tuple)
+      (Core.Alarms.alarms alarms)
+  in
+  (List.length lines, Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+let test_corpus_alarms_pinned () =
+  let engine = Engine.create ~seed:3 () in
+  ignore (Chord.boot engine 5);
+  Engine.run_until engine 90.;
+  let alarms =
+    Core.Watchdog.install ~period:2. ~agenda_threshold:5. ~sendq_threshold:1.
+      ~retx_threshold:0.01 engine
+  in
+  let installed = Hashtbl.create 8 in
+  Hashtbl.add installed Core.Registry.chord ();
+  List.iter
+    (fun (name, libs, program) ->
+      match name with
+      | "chord" | "chord-buggy" | "chord-boot-facts" -> ()
+      | _ ->
+          List.iter
+            (fun src ->
+              if not (Hashtbl.mem installed src) then begin
+                Hashtbl.add installed src ();
+                Engine.install_all engine src
+              end)
+            (libs @ [ program ]))
+    Core.Registry.embedded;
+  Engine.run_until engine 200.;
+  Alcotest.(check (pair int string)) "corpus alarms"
+    (9, "8af7bcedbe4283173327f3335e3c7086") (alarm_digest alarms)
+
+let test_campaign_alarms_pinned () =
+  let cfg =
+    {
+      Harness.Campaign.default_config with
+      nodes = 6;
+      settle = 60.;
+      horizon = 60.;
+      cooldown = 60.;
+    }
+  in
+  let plan =
+    let open Harness.Fault_plan in
+    let p = add (empty 60.) ~time:5. (Crash "n3") in
+    let p = add p ~time:20. (Partition [ "n4"; "n5" ]) in
+    let p = add p ~time:35. (Recover "n3") in
+    add p ~time:45. (Heal_partition [ "n4"; "n5" ])
+  in
+  let alarms = ref None in
+  ignore
+    (Harness.Campaign.run_plan cfg ~seed:1
+       ~after_settle:(fun e -> alarms := Some (Core.Watchdog.install ~period:2. e))
+       plan);
+  Alcotest.(check (pair int string)) "campaign alarms"
+    (214, "c512be06d2fd18c3e96b2c89c5b4546c")
+    (alarm_digest (Option.get !alarms))
+
 (* Reflection rows must never leak into the tracer's tupleTable: the
    instrument would otherwise dominate what it measures. *)
 let test_reflection_exempt_from_tracer () =
@@ -322,6 +430,12 @@ let () =
           Alcotest.test_case "p2Rule" `Quick test_p2rule_rows;
           Alcotest.test_case "exempt from tracer" `Quick
             test_reflection_exempt_from_tracer;
+          Alcotest.test_case "unchanged rows refresh in place" `Quick
+            test_unchanged_rows_refresh_in_place;
+          Alcotest.test_case "corpus alarms match pinned" `Quick
+            test_corpus_alarms_pinned;
+          Alcotest.test_case "campaign alarms match pinned" `Quick
+            test_campaign_alarms_pinned;
         ] );
       ( "determinism",
         [

@@ -202,6 +202,55 @@ let test_dead_events_counted () =
   Alcotest.(check int) "dead event" 1
     (P2_runtime.Node.dead_events (P2_runtime.Engine.node engine "a"))
 
+(* A node resolves each predicate's routing (table, event strands,
+   watches) once and caches it; every mutation that changes it must
+   reach the next delivery. *)
+let test_route_invalidation () =
+  let engine = mk () in
+  let node = P2_runtime.Engine.add_node engine "a" in
+  let send x =
+    ignore @@ P2_runtime.Engine.inject engine "a" "ev" [ Value.VInt x ];
+    P2_runtime.Engine.run_for engine 0.1
+  in
+  let values name =
+    List.map (fun t -> Tuple.field t 2) (table_tuples engine "a" name)
+  in
+  let check_values what name expected =
+    Alcotest.(check (list string)) what (List.map Value.to_string expected)
+      (List.map Value.to_string (values name))
+  in
+  send 1;
+  Alcotest.(check int) "no strand: dead event" 1 (P2_runtime.Node.dead_events node);
+  (* a new event-strand name *)
+  P2_runtime.Engine.install engine "a"
+    "materialize(out, infinity, infinity, keys(1,2)).\nr1 out@N(X) :- ev@N(X).";
+  send 2;
+  Alcotest.(check int) "strand fired: no new dead event" 1
+    (P2_runtime.Node.dead_events node);
+  check_values "strand fired" "out" [ Value.VInt 2 ];
+  (* a new watch name *)
+  let seen = P2_runtime.Engine.collect engine "a" "ev" in
+  send 3;
+  Alcotest.(check int) "watch called" 1 (List.length (seen ()));
+  check_values "strand still fires" "out" [ Value.VInt 2; Value.VInt 3 ];
+  (* a new table *)
+  P2_runtime.Engine.install engine "a" "materialize(ev, infinity, infinity, keys(1,2)).";
+  send 4;
+  check_values "landed in the table" "ev" [ Value.VInt 4 ];
+  Alcotest.(check int) "watch still called" 2 (List.length (seen ()));
+  (* a watch that installs a rule on its own name: the same delivery
+     already fires the new strand *)
+  let installed = ref false in
+  P2_runtime.Engine.watch engine "a" "late" (fun _ ->
+      if not !installed then begin
+        installed := true;
+        P2_runtime.Engine.install engine "a"
+          "materialize(out2, infinity, infinity, keys(1,2)).\nr2 out2@N(X) :- late@N(X)."
+      end);
+  ignore @@ P2_runtime.Engine.inject engine "a" "late" [ Value.VInt 5 ];
+  P2_runtime.Engine.run_for engine 0.1;
+  check_values "strand installed mid-delivery fired" "out2" [ Value.VInt 5 ]
+
 let test_cross_node_tuple_table () =
   let engine = mk ~trace:true () in
   ignore (P2_runtime.Engine.add_node engine "a");
@@ -280,6 +329,7 @@ let () =
           Alcotest.test_case "delete rule" `Quick test_delete_rule;
           Alcotest.test_case "watch collect" `Quick test_watch_collect;
           Alcotest.test_case "dead events" `Quick test_dead_events_counted;
+          Alcotest.test_case "route invalidation" `Quick test_route_invalidation;
         ] );
       ( "online",
         [

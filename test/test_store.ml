@@ -180,6 +180,41 @@ let prop_expiry_total =
       List.iter (fun x -> ignore (Table.insert tbl ~now:0. (t3 "n" x x))) xs;
       Table.size tbl ~now:10. = 0)
 
+(* Strtbl hashes with [Hashtbl.hash], so a table built by the same
+   operations holds its keys in the same buckets, in the same order, as
+   the generic [Hashtbl]: seeded runs that iterate such tables stay
+   byte-identical. Ops: replace (0), remove (1), add (2) over a small
+   key space, so keys collide, repeat and force resizes. *)
+let prop_strtbl_order =
+  QCheck.Test.make ~name:"Strtbl iterates like Hashtbl" ~count:300
+    QCheck.(list (pair (int_bound 2) (int_bound 200)))
+    (fun ops ->
+      let g = Hashtbl.create 4 and m = Strtbl.create 4 in
+      let gp = Hashtbl.create 4 and mp = Strtbl.Pair.create 4 in
+      List.iteri
+        (fun v (op, i) ->
+          let k = "n" ^ string_of_int i and pk = (string_of_int (i mod 7), string_of_int i) in
+          match op with
+          | 0 ->
+              Hashtbl.replace g k v;
+              Strtbl.replace m k v;
+              Hashtbl.replace gp pk v;
+              Strtbl.Pair.replace mp pk v
+          | 1 ->
+              Hashtbl.remove g k;
+              Strtbl.remove m k;
+              Hashtbl.remove gp pk;
+              Strtbl.Pair.remove mp pk
+          | _ ->
+              Hashtbl.add g k v;
+              Strtbl.add m k v;
+              Hashtbl.add gp pk v;
+              Strtbl.Pair.add mp pk v)
+        ops;
+      let bindings fold tbl = fold (fun k v acc -> (k, v) :: acc) tbl [] in
+      bindings Hashtbl.fold g = bindings Strtbl.fold m
+      && bindings Hashtbl.fold gp = bindings Strtbl.Pair.fold mp)
+
 let () =
   Alcotest.run "store"
     [
@@ -201,6 +236,7 @@ let () =
           Alcotest.test_case "of_materialize" `Quick test_of_materialize;
           QCheck_alcotest.to_alcotest prop_capacity;
           QCheck_alcotest.to_alcotest prop_expiry_total;
+          QCheck_alcotest.to_alcotest prop_strtbl_order;
         ] );
       ("catalog", [ Alcotest.test_case "catalog" `Quick test_catalog ]);
     ]

@@ -468,6 +468,29 @@ let test_oversize_rejected () =
   | exception Wire.Error _ -> ()
   | _ -> Alcotest.failf "expected Wire.Error for an oversize list"
 
+(* [Wire.size] is computed without encoding, but must fail exactly
+   where [encode] fails, with the same error, the first offending
+   field deciding. *)
+let test_size_raises_as_encode () =
+  let error_of f = match f () with exception Wire.Error m -> Some m | _ -> None in
+  let long = String.make 70_000 'x' in
+  let wide = Value.VList (List.init 70_000 (fun i -> Value.VInt i)) in
+  List.iter
+    (fun (what, t) ->
+      let expected = error_of (fun () -> Wire.encode t) in
+      Alcotest.(check bool) (what ^ ": encode raises") true (expected <> None);
+      Alcotest.(check (option string)) what expected (error_of (fun () -> Wire.size t)))
+    [
+      ("oversize string", Tuple.make ~id:1 "t" [ Value.VStr long ]);
+      ("oversize address", Tuple.make ~id:1 "t" [ Value.VAddr long ]);
+      ("oversize list", Tuple.make ~id:1 "t" [ wide ]);
+      ("oversize name", Tuple.make ~id:1 long [ Value.VInt 1 ]);
+      ("too many fields", Tuple.make ~id:1 "t" (List.init 70_000 (fun i -> Value.VInt i)));
+      ("list before string", Tuple.make ~id:1 "t" [ wide; Value.VStr long ]);
+      ("string before list", Tuple.make ~id:1 "t" [ Value.VStr long; wide ]);
+      ("nested", Tuple.make ~id:1 "t" [ Value.VList [ Value.VInt 1; Value.VStr long ] ]);
+    ]
+
 let () =
   Alcotest.run "wire"
     [
@@ -483,6 +506,7 @@ let () =
           Alcotest.test_case "malformed" `Quick test_malformed;
           Alcotest.test_case "size" `Quick test_size_matches_encoding;
           Alcotest.test_case "oversize rejected" `Quick test_oversize_rejected;
+          Alcotest.test_case "size raises as encode" `Quick test_size_raises_as_encode;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_message_roundtrip;
           QCheck_alcotest.to_alcotest prop_size_matches;
