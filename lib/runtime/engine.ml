@@ -8,13 +8,14 @@
 open Overlog
 
 type event =
-  | Deliver of { dst : string; inc : int; src : string; packet : string }
+  | Deliver of { link : Sim.Network.link; inc : int; packet : string }
       (* packet: the Wire-encoded message, decoded at delivery — every
-         cross-node tuple really round-trips through the codec. [inc]
-         is the destination's incarnation at send time: a restart bumps
-         it, so packets in flight toward the previous incarnation are
-         dropped instead of aliasing into the fresh channel's sequence
-         space *)
+         cross-node tuple really round-trips through the codec. [link]
+         is the (src, dst) channel it travels on; its in-flight count
+         drops when the delivery is popped. [inc] is the destination's
+         incarnation at send time: a restart bumps it, so packets in
+         flight toward the previous incarnation are dropped instead of
+         aliasing into the fresh channel's sequence space *)
   | Timer of { addr : string; inc : int; req : Node.timer_request }
   | Sweep of { addr : string; inc : int }
       (* the per-node soft-state sweep, every [sweep_interval] *)
@@ -34,16 +35,36 @@ type event =
    and the barrier merges them: a total order that depends only on the
    event queue contents, never on the shard count or on worker timing,
    which is what makes seeded runs reproduce bit-for-bit at every shard
-   count (DESIGN.md §13). *)
+   count (DESIGN.md §13). A send carries its channel's network handle,
+   which the barrier resolves to the shared link on first use: links
+   are created only where no shard is draining. *)
 type effect_ =
-  | Eff_send of { src : string; dst : string; at : float; packet : string }
+  | Eff_send of { handle : Sim.Network.handle; at : float; packet : string }
   | Eff_schedule of { at : float; ev : event }
 
+(* Slot fillers for the round buffers: a used slot is overwritten with
+   these so the buffers keep no event or packet alive. *)
+let no_event = Callback ignore
+let no_effect = Eff_schedule { at = 0.; ev = no_event }
+
+(* A shard's round buffers are growable arrays, reused every round:
+   its slice of the round's events, in pop order, and the effects they
+   deferred, each tagged with its causing event's pop position. *)
 type shard = {
-  mutable log : (int * effect_) list;  (* (pop position, eff), newest first *)
-  mutable time : float;    (* virtual time of the event being handled *)
-  mutable pos : int;       (* its position in the round's pop order *)
-  mutable seq : int;       (* its queue seq, for the sanitizer *)
+  mutable ev_time : float array;
+  mutable ev_seq : int array;  (* queue seqs, for the sanitizer *)
+  mutable ev_pos : int array;  (* positions in the round's pop order *)
+  mutable evs : event array;
+  mutable n_evs : int;
+  mutable cur : int;  (* index of the event being handled *)
+  mutable time : float;  (* its virtual time *)
+  mutable eff_pos : int array;
+  mutable effs : effect_ array;
+  mutable n_effs : int;
+  mutable replayed : int;  (* replay's cursor into the effects *)
+  mutable dirty : Transport.t list;
+      (* transports whose coalescing buffers the event being handled
+         filled, newest first: flushed when it finishes *)
   mutable handled : int;   (* events handled by this shard *)
   mutable round_ns : float; (* wall time spent executing this round's events *)
   mutable busy_ns : float;  (* ... and over all rounds *)
@@ -69,8 +90,41 @@ let () =
     | _ -> None)
 
 let fresh_shard () =
-  { log = []; time = 0.; pos = 0; seq = -1; handled = 0; round_ns = 0.; busy_ns = 0.;
-    wait_ns = 0. }
+  let cap = 16 in
+  { ev_time = Array.make cap 0.; ev_seq = Array.make cap (-1); ev_pos = Array.make cap 0;
+    evs = Array.make cap no_event; n_evs = 0; cur = 0; time = 0.;
+    eff_pos = Array.make cap 0; effs = Array.make cap no_effect; n_effs = 0;
+    replayed = 0; dirty = []; handled = 0; round_ns = 0.; busy_ns = 0.; wait_ns = 0. }
+
+(* [a] with room for at least one element past its first [n]. *)
+let grown a n fill =
+  let b = Array.make (max 16 (2 * n)) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+let push_event sh ~time ~seq ~pos ev =
+  let n = sh.n_evs in
+  if n = Array.length sh.evs then begin
+    sh.ev_time <- grown sh.ev_time n 0.;
+    sh.ev_seq <- grown sh.ev_seq n (-1);
+    sh.ev_pos <- grown sh.ev_pos n 0;
+    sh.evs <- grown sh.evs n no_event
+  end;
+  sh.ev_time.(n) <- time;
+  sh.ev_seq.(n) <- seq;
+  sh.ev_pos.(n) <- pos;
+  sh.evs.(n) <- ev;
+  sh.n_evs <- n + 1
+
+let push_effect sh eff =
+  let n = sh.n_effs in
+  if n = Array.length sh.effs then begin
+    sh.eff_pos <- grown sh.eff_pos n 0;
+    sh.effs <- grown sh.effs n no_effect
+  end;
+  sh.eff_pos.(n) <- sh.ev_pos.(sh.cur);
+  sh.effs.(n) <- eff;
+  sh.n_effs <- n + 1
 
 (* The shard the current domain drains inside a round. Domain-local so
    concurrent shards don't race; code running for a node always runs
@@ -95,10 +149,6 @@ type t = {
   transports : Transport.t Strtbl.t;
       (* one reliable-transport endpoint per node, between the node's
          emit path and the raw network *)
-  inflight : int ref Strtbl.Pair.t;
-      (* (src, dst) -> messages accepted by the network but not yet
-         delivered: the simulator's stand-in for a per-destination
-         send-queue depth *)
   mutable addrs_cache : string list option;
       (* sorted; invalidated on membership change instead of
          re-sorting on every [addrs] call *)
@@ -164,7 +214,6 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     queue = Sim.Event_queue.create ();
     nodes = Strtbl.create 32;
     transports = Strtbl.create 32;
-    inflight = Strtbl.Pair.create 32;
     addrs_cache = None;
     clock = 0.;
     trace_default = trace;
@@ -227,7 +276,8 @@ let addrs t =
    bypass: state that belongs to the barrier was touched mid-drain. *)
 let guard t site =
   if t.sanitize && t.sharding.in_round then
-    raise (Discipline_violation { site; seq = !(Domain.DLS.get draining).seq })
+    let sh = !(Domain.DLS.get draining) in
+    raise (Discipline_violation { site; seq = sh.ev_seq.(sh.cur) })
 
 (** Flip the effect-discipline sanitizer (also on via [P2QL_SANITIZE=1]
     in the environment). Purely a checking layer: runs are bit-for-bit
@@ -254,58 +304,52 @@ let now_for t addr =
   let s = t.sharding in
   if s.in_round then s.shards.(shard_ix s addr).time else t.clock
 
-(* Inside a round, append an effect to the draining shard's log, tagged
-   with the causing event's pop position; only that shard's domain
-   writes its log. Returns whether the effect was deferred. *)
-let defer t eff =
-  let in_round = t.sharding.in_round in
-  if in_round then begin
-    let sh = !(Domain.DLS.get draining) in
-    sh.log <- (sh.pos, eff) :: sh.log
-  end;
-  in_round
-
-(* Schedule from node code: deferred to the barrier inside a round,
-   immediate otherwise. *)
+(* Schedule from node code: inside a round, deferred to the draining
+   shard's log (only that shard's domain writes it); immediate
+   otherwise. *)
 let sched_owned t ~at ev =
-  if not (defer t (Eff_schedule { at; ev })) then schedule t ~at ev
-
-let inflight_add t ~src ~dst d =
-  guard t "Engine.inflight_add";
-  let key = (src, dst) in
-  match Strtbl.Pair.find_opt t.inflight key with
-  | Some n ->
-      n := !n + d;
-      if !n <= 0 then Strtbl.Pair.remove t.inflight key
-  | None -> if d > 0 then Strtbl.Pair.replace t.inflight key (ref d)
+  if t.sharding.in_round then
+    push_effect !(Domain.DLS.get draining) (Eff_schedule { at; ev })
+  else schedule t ~at ev
 
 (** Messages from [src] to [dst] accepted by the network but not yet
     delivered — the simulator's per-destination send-queue depth. *)
-let inflight t ~src ~dst =
-  match Strtbl.Pair.find_opt t.inflight (src, dst) with Some n -> !n | None -> 0
+let inflight t ~src ~dst = Sim.Network.inflight t.network ~src ~dst
 
 (** Total undelivered messages originated by [src], over all
     destinations: the node's [net.sendq.depth] gauge. *)
-let inflight_from t src =
-  Strtbl.Pair.fold (fun (s, _) n acc -> if String.equal s src then acc + !n else acc)
-    t.inflight 0
+let inflight_from t src = Sim.Network.inflight_from t.network src
+
+(* A handle's link, resolved on its first send. Resolution writes the
+   network's pair table, so it happens only at the barrier or in host
+   context; the guard catches a resolution from inside a drain. *)
+let link_of t h =
+  match Sim.Network.resolved h with
+  | Some l -> l
+  | None ->
+      guard t "Engine.link_of";
+      Sim.Network.resolve t.network h
 
 (* Below the transport: decide the packet's fate and queue delivery.
    Drops are final here — retransmission lives in [Transport]. [now] is
    the virtual time of the send (the causing event's time when replayed
    at the barrier: the network RNG and the per-channel FIFO floor are
    shared state). *)
-let raw_send_now t ~now ~src ~dst packet =
+let raw_send_now t ~now h packet =
   guard t "Engine.raw_send_now";
-  match Sim.Network.send t.network ~now ~src ~dst with
-  | Sim.Network.Drop _ -> ()
-  | Sim.Network.Deliver when_ ->
-      inflight_add t ~src ~dst 1;
-      schedule t ~at:when_ (Deliver { dst; inc = incarnation t dst; src; packet })
+  let link = link_of t h in
+  if Sim.Network.transmit t.network ~now link then
+    schedule t ~at:link.floor
+      (Deliver { link; inc = incarnation t link.dst; packet })
 
-let raw_send t ~src ~dst packet =
-  if not (defer t (Eff_send { src; dst; at = now_for t src; packet })) then
-    raw_send_now t ~now:t.clock ~src ~dst packet
+(* A transport's send. Node code runs in its own shard, so the draining
+   shard's clock is the sender's. *)
+let raw_send t h packet =
+  if t.sharding.in_round then begin
+    let sh = !(Domain.DLS.get draining) in
+    push_effect sh (Eff_send { handle = h; at = sh.time; packet })
+  end
+  else raw_send_now t ~now:t.clock h packet
 
 let transport t addr =
   match Strtbl.find_opt t.transports addr with
@@ -314,9 +358,10 @@ let transport t addr =
 
 let transport_opt t addr = Strtbl.find_opt t.transports addr
 
-(* Ship what [addr]'s transport coalesced while the event or host entry
-   point that just finished ran: frames leave at the instant, and the
-   effect position, of the work that produced them (DESIGN.md §12). *)
+(* Ship what [addr]'s transport coalesced while the host entry point
+   that just finished ran: frames leave at the instant, and the effect
+   position, of the work that produced them (DESIGN.md §12). Inside a
+   round the shard flushes the transports its event dirtied instead. *)
 let flush_transport t addr =
   match Strtbl.find_opt t.transports addr with
   | Some tr -> Transport.flush tr
@@ -422,7 +467,12 @@ let wire_node ?tracer_config ?trace t addr =
            run inside its shard. *)
         sched_owned t ~at:(now_for t addr +. delay)
           (Owned_callback { owner = addr; f }))
-      ~raw_send:(fun ~dst packet -> raw_send t ~src:addr ~dst packet)
+      ~raw_send:(raw_send t)
+      ~on_dirty:(fun tr ->
+        if t.sharding.in_round then begin
+          let sh = !(Domain.DLS.get draining) in
+          sh.dirty <- tr :: sh.dirty
+        end)
       ~active:(fun () -> not (Sim.Network.is_crashed t.network addr))
       ()
   in
@@ -653,13 +703,14 @@ let close_checkpoints t =
    effects. *)
 let handle t event =
   match event with
-  | Deliver { dst; inc; src; packet } -> (
+  | Deliver { link; inc; packet } -> (
       (* A packet launched toward an earlier incarnation dies here:
          after a restart both sides renegotiate from sequence 1, and a
          stale frame would otherwise alias into the fresh channel. *)
+      let dst = link.dst in
       if inc = incarnation t dst && not (Sim.Network.is_crashed t.network dst) then
         match Strtbl.find_opt t.transports dst with
-        | Some tr -> Transport.receive tr ~src packet
+        | Some tr -> Transport.receive tr ~src:link.src packet
         | None -> ())
   | Timer { addr; inc; req } -> (
       (* Stale-incarnation timers stop rescheduling themselves: the
@@ -688,67 +739,79 @@ let handle t event =
   | Owned_callback { f; _ } -> f ()
 
 let owner_of = function
-  | Deliver { dst; _ } -> dst
+  | Deliver { link; _ } -> link.dst
   | Timer { addr; _ } | Sweep { addr; _ } -> addr
   | Owned_callback { owner; _ } -> owner
   | Callback _ -> invalid_arg "Engine.owner_of: host callback"
 
 let apply t = function
-  | Eff_send { src; dst; at; packet } -> raw_send_now t ~now:at ~src ~dst packet
+  | Eff_send { handle; at; packet } -> raw_send_now t ~now:at handle packet
   | Eff_schedule { at; ev } -> schedule t ~at ev
 
-(* Replay the round's effects in pop order. Every shard log is sorted
-   by pop position (newest first) and no position is in two logs, so
-   an n-way merge of the reversed logs needs no sort; one shard's log
-   is just reversed. *)
+(* Replay the round's effects in pop order. Every shard's log is sorted
+   by pop position and no position is in two logs, so an n-way merge by
+   index needs no sort; with one shard it walks the log in order. Each
+   slot is cleared as it is applied. *)
 let replay t s =
-  let logs =
-    Array.map
-      (fun sh ->
-        let l = List.rev sh.log in
-        sh.log <- [];
-        l)
-      s.shards
-  in
-  let head i = match logs.(i) with (pos, _) :: _ -> pos | [] -> max_int in
-  let rec merge () =
-    let best = ref 0 in
-    for i = 1 to s.n - 1 do
-      if head i < head !best then best := i
+  let continue = ref true in
+  while !continue do
+    (* the shard whose next effect has the lowest pop position *)
+    let best = ref (-1) and best_pos = ref max_int in
+    for i = 0 to s.n - 1 do
+      let sh = s.shards.(i) in
+      if sh.replayed < sh.n_effs && sh.eff_pos.(sh.replayed) < !best_pos then begin
+        best := i;
+        best_pos := sh.eff_pos.(sh.replayed)
+      end
     done;
-    match logs.(!best) with
-    | (_, eff) :: rest ->
-        logs.(!best) <- rest;
-        apply t eff;
-        merge ()
-    | [] -> ()
-  in
-  merge ()
+    if !best < 0 then continue := false
+    else begin
+      let sh = s.shards.(!best) in
+      let eff = sh.effs.(sh.replayed) in
+      sh.effs.(sh.replayed) <- no_effect;
+      sh.replayed <- sh.replayed + 1;
+      apply t eff
+    end
+  done;
+  Array.iter
+    (fun sh ->
+      sh.n_effs <- 0;
+      sh.replayed <- 0)
+    s.shards
 
-(* One round: each shard handles its window slice in pop order,
+(* Ship what the event just handled left in coalescing buffers — at
+   most its owner's transport. *)
+let flush_dirty sh =
+  match sh.dirty with
+  | [] -> ()
+  | [ tr ] ->
+      sh.dirty <- [];
+      Transport.flush tr
+  | trs ->
+      sh.dirty <- [];
+      List.iter Transport.flush (List.rev trs)
+
+(* One round: each shard handles its slice of the window in pop order,
    deferring effects; the barrier then charges each shard its wait for
    the round's slowest shard and replays the effects. *)
-let run_round t s buckets =
+let run_round t s =
   s.in_round <- true;
   let jobs =
-    Array.mapi
-      (fun ix evs ->
-        let evs = List.rev evs in
-        let sh = s.shards.(ix) in
-        fun () ->
-          let t0 = Unix.gettimeofday () in
-          Domain.DLS.get draining := sh;
-          List.iter
-            (fun (time, seq, pos, ev) ->
-              sh.time <- time;
-              sh.pos <- pos;
-              sh.seq <- seq;
-              sh.handled <- sh.handled + 1;
-              handle t ev;
-              flush_transport t (owner_of ev))
-            evs;
-          sh.round_ns <- (Unix.gettimeofday () -. t0) *. 1e9)
-      buckets
+    Array.map
+      (fun sh () ->
+        let t0 = Unix.gettimeofday () in
+        Domain.DLS.get draining := sh;
+        for i = 0 to sh.n_evs - 1 do
+          let ev = sh.evs.(i) in
+          sh.evs.(i) <- no_event;
+          sh.cur <- i;
+          sh.time <- sh.ev_time.(i);
+          sh.handled <- sh.handled + 1;
+          handle t ev;
+          flush_dirty sh
+        done;
+        sh.round_ns <- (Unix.gettimeofday () -. t0) *. 1e9)
+      s.shards
   in
   Fun.protect
     ~finally:(fun () -> s.in_round <- false)
@@ -770,56 +833,54 @@ let run_until t until =
   (* Sends that host code made straight on nodes since the last run
      (bypassing the engine's entry points) leave now. *)
   flush_transports t;
-  let s = t.sharding in
-  let buckets = Array.make s.n [] in
+  let s = t.sharding and q = t.queue in
+  let module Q = Sim.Event_queue in
   let rec go () =
-    match Sim.Event_queue.peek t.queue with
-    | None -> t.clock <- until
-    | Some (time, _) when time > until -> t.clock <- until
-    | Some (time, Callback _) ->
-        (* Host callback: may mutate anything (fault injection,
-           installs, p2Stats reflection), so it runs alone between
-           rounds, with immediate effects. *)
-        (match Sim.Event_queue.pop t.queue with
-        | Some (_, ev) ->
-            t.clock <- Float.max t.clock time;
-            t.seq_handled <- t.seq_handled + 1;
-            handle t ev;
-            flush_transports t
-        | None -> ());
-        go ()
-    | Some (t0, _) ->
-        let horizon = Float.min until (t0 +. s.quantum) in
-        Array.fill buckets 0 s.n [];
-        let wmax = ref t0 and pos = ref 0 in
-        let rec collect () =
-          match Sim.Event_queue.peek t.queue with
-          | Some (_, Callback _) -> ()
-          | Some (time, _) when time <= horizon -> (
-              match Sim.Event_queue.pop_entry t.queue with
-              | Some (time, seq, ev) ->
+    if Q.is_empty q || Q.top_time q > until then t.clock <- until
+    else
+      match Q.top q with
+      | Callback _ as ev ->
+          (* Host callback: may mutate anything (fault injection,
+             installs, p2Stats reflection), so it runs alone between
+             rounds, with immediate effects. *)
+          t.clock <- Float.max t.clock (Q.top_time q);
+          Q.drop_top q;
+          t.seq_handled <- t.seq_handled + 1;
+          handle t ev;
+          flush_transports t;
+          go ()
+      | _ ->
+          let t0 = Q.top_time q in
+          let horizon = Float.min until (t0 +. s.quantum) in
+          Array.iter (fun sh -> sh.n_evs <- 0) s.shards;
+          let wmax = ref t0 and pos = ref 0 and collecting = ref true in
+          while !collecting && not (Q.is_empty q) do
+            match Q.top q with
+            | Callback _ -> collecting := false
+            | ev ->
+                let time = Q.top_time q in
+                if time > horizon then collecting := false
+                else begin
+                  let seq = Q.top_seq q in
+                  Q.drop_top q;
                   (* A delivery leaves the network when it is popped.
                      Only host code reads the in-flight counts, and it
                      runs between rounds. *)
                   (match ev with
-                  | Deliver { src; dst; _ } -> inflight_add t ~src ~dst (-1)
+                  | Deliver { link; _ } -> Sim.Network.arrived link
                   | _ -> ());
-                  let ix = shard_ix s (owner_of ev) in
-                  buckets.(ix) <- (time, seq, !pos, ev) :: buckets.(ix);
+                  push_event s.shards.(shard_ix s (owner_of ev)) ~time ~seq ~pos:!pos ev;
                   incr pos;
-                  wmax := Float.max !wmax time;
-                  collect ()
-              | None -> ())
-          | _ -> ()
-        in
-        collect ();
-        run_round t s buckets;
-        (* The barrier is single-threaded: spilled trace records hit
-           the disk here, in per-node append order, so the log bytes
-           are identical for every shard count (DESIGN.md §15). *)
-        flush_trace_logs t;
-        t.clock <- Float.max t.clock !wmax;
-        go ()
+                  wmax := Float.max !wmax time
+                end
+          done;
+          run_round t s;
+          (* The barrier is single-threaded: spilled trace records hit
+             the disk here, in per-node append order, so the log bytes
+             are identical for every shard count (DESIGN.md §15). *)
+          flush_trace_logs t;
+          t.clock <- Float.max t.clock !wmax;
+          go ()
   in
   go ();
   (* Records buffered by host callbacks after the last round. *)
@@ -839,7 +900,7 @@ let at_owned t ~owner ~time f =
     [raw_send_now] guard trips when called mid-drain); engine code
     must use the deferring send path instead. *)
 let unsafe_direct_send t ~src ~dst packet =
-  raw_send_now t ~now:(now_for t src) ~src ~dst packet
+  raw_send_now t ~now:(now_for t src) (Sim.Network.handle ~src ~dst) packet
 
 (* --- Shard control --- *)
 
@@ -869,9 +930,9 @@ let events_handled t =
     (deliveries, timers, sweeps) die silently because every handler
     re-resolves the address; the address can not be reused. All
     per-address state is purged: its transport stops, the remaining
-    transports forget their channels to it, and the network's FIFO
-    floors, link cuts, crash flag and in-flight rows for it go too —
-    so long churn campaigns don't leak. *)
+    transports forget their channels to it, and the network's links
+    naming it (FIFO floors, link cuts, in-flight counts) and its crash
+    flag go too — so long churn campaigns don't leak. *)
 let remove_node t addr =
   require_known t "remove_node" addr;
   let n = node t addr in
@@ -890,13 +951,6 @@ let remove_node t addr =
   | None -> ());
   Strtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
   Sim.Network.forget t.network addr;
-  let stale =
-    Strtbl.Pair.fold
-      (fun ((src, dst) as k) _ acc ->
-        if String.equal src addr || String.equal dst addr then k :: acc else acc)
-      t.inflight []
-  in
-  List.iter (Strtbl.Pair.remove t.inflight) stale;
   (* Per-address recovery state goes too: the address can't be reused,
      so keeping recorded programs / watches / checkpoint writers would
      leak across a long churn campaign. Checkpoint files stay on disk

@@ -206,8 +206,9 @@ val events_handled : t -> int
 
 (** Retire a node permanently (churn "leave"): pending events addressed
     to it are dropped on delivery, and all per-address state (its
-    transport, peers' channels to it, network FIFO floors / link cuts /
-    crash flag, in-flight rows) is purged. Raises [Invalid_argument]
+    transport, peers' channels to it, the network links naming it with
+    their FIFO floors, cuts and in-flight counts, its crash flag) is
+    purged. Raises [Invalid_argument]
     for unknown addresses; the address can not be reused. *)
 val remove_node : t -> string -> unit
 

@@ -83,6 +83,7 @@ type entry = {
 
 type chan = {
   peer : string;
+  handle : Sim.Network.handle;  (* the network link this channel sends on *)
   (* outbound *)
   mutable next_seq : int;
   unacked : entry Queue.t;  (* seq order; front = lowest unacked *)
@@ -127,7 +128,8 @@ type t = {
   (* engine hooks *)
   now : unit -> float;
   schedule : float -> (unit -> unit) -> unit;  (* relative delay *)
-  raw_send : dst:string -> string -> unit;
+  raw_send : Sim.Network.handle -> string -> unit;
+  on_dirty : t -> unit;  (* a coalescing buffer became nonempty *)
   mutable deliver : src:string -> bytes:int -> Wire.message -> unit;
   active : unit -> bool;  (* false while the owning node is crashed *)
   (* counters (registered into the node's metric registry) *)
@@ -167,6 +169,7 @@ let chan t peer =
       let c =
         {
           peer;
+          handle = Sim.Network.handle ~src:t.addr ~dst:peer;
           next_seq = 1;
           unacked = Queue.create ();
           pending = Queue.create ();
@@ -240,7 +243,7 @@ let encode_group t c (items : (bool * Tuple.t) list) ~seq =
 let rec transmit t c (e : entry) =
   c.ack_pending <- false;  (* the frame piggybacks the current cum ack *)
   Metrics.Counter.incr t.tx_frames;
-  t.raw_send ~dst:c.peer (encode_group t c e.items ~seq:e.seq);
+  t.raw_send c.handle (encode_group t c e.items ~seq:e.seq);
   arm_retx t c e
 
 and arm_retx t c e =
@@ -322,7 +325,7 @@ let send_group t c items =
     let seq = c.next_seq in
     c.next_seq <- seq + 1;
     Metrics.Counter.incr t.tx_frames;
-    t.raw_send ~dst:c.peer (encode_group t c items ~seq)
+    t.raw_send c.handle (encode_group t c items ~seq)
   end
   else if Queue.length c.unacked < t.cfg.window then begin
     let e =
@@ -372,7 +375,10 @@ let flush t =
 let send t ~dst ~delete tuple =
   let c = chan t dst in
   if t.batching then begin
-    if Queue.is_empty c.buffer then t.dirty <- c :: t.dirty;
+    if Queue.is_empty c.buffer then begin
+      (match t.dirty with [] -> t.on_dirty t | _ :: _ -> ());
+      t.dirty <- c :: t.dirty
+    end;
     Queue.push (delete, tuple) c.buffer
   end
   else send_group t c [ (delete, tuple) ]
@@ -389,7 +395,7 @@ let schedule_ack t (c : chan) =
           if t.active () then begin
             Metrics.Counter.incr t.tx_acks;
             Metrics.Counter.incr t.tx_frames;
-            t.raw_send ~dst:c.peer (Wire.encode_ack ~ack:c.cum_ack)
+            t.raw_send c.handle (Wire.encode_ack ~ack:c.cum_ack)
           end
         end)
   end
@@ -485,7 +491,7 @@ let rec heartbeat_tick t =
            Metrics.Counter.incr t.tx_heartbeats;
            Metrics.Counter.incr t.tx_frames;
            c.ack_pending <- false;  (* the heartbeat piggybacks the ack *)
-           t.raw_send ~dst:c.peer (Wire.encode_heartbeat ~ack:c.cum_ack)
+           t.raw_send c.handle (Wire.encode_heartbeat ~ack:c.cum_ack)
          end)
        t.chans);
   t.schedule t.cfg.heartbeat_period (fun () -> heartbeat_tick t)
@@ -493,8 +499,8 @@ let rec heartbeat_tick t =
 
 (* --- construction --- *)
 
-let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~active ()
-    =
+let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~on_dirty
+    ~active () =
   let t =
     {
       addr;
@@ -508,6 +514,7 @@ let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~activ
       now;
       schedule;
       raw_send;
+      on_dirty;
       deliver = (fun ~src:_ ~bytes:_ _ -> ());
       active;
       tx_frames = Metrics.Counter.create ();

@@ -40,10 +40,14 @@ type peer_info = {
 
 type t
 
-(** [create ~addr ~rng ~now ~schedule ~raw_send ~active ()] builds a
-    transport endpoint for the node at [addr]. The host injects the
-    clock ([now]), a relative-delay scheduler ([schedule]), the raw
-    packet send ([raw_send]), and a liveness predicate ([active],
+(** [create ~addr ~rng ~now ~schedule ~raw_send ~on_dirty ~active ()]
+    builds a transport endpoint for the node at [addr]. The host
+    injects the clock ([now]), a relative-delay scheduler ([schedule]),
+    the raw packet send ([raw_send], given the channel's network
+    handle — one per peer, made when the channel is), a dirty
+    notification ([on_dirty], called with the transport when a
+    coalescing buffer becomes nonempty while all were empty, so the
+    owner knows a {!flush} is due), and a liveness predicate ([active],
     false while the owning node is crashed — the transport then stays
     silent but keeps retransmission state for recovery). [rng] drives
     backoff jitter and must be an independent deterministic stream.
@@ -54,7 +58,8 @@ val create :
   rng:Sim.Rng.t ->
   now:(unit -> float) ->
   schedule:(float -> (unit -> unit) -> unit) ->
-  raw_send:(dst:string -> string -> unit) ->
+  raw_send:(Sim.Network.handle -> string -> unit) ->
+  on_dirty:(t -> unit) ->
   active:(unit -> bool) ->
   unit ->
   t

@@ -11,11 +11,18 @@ val is_empty : 'a t -> bool
 (** Raises on NaN times. *)
 val schedule : 'a t -> time:float -> 'a -> unit
 
-val peek : 'a t -> (float * 'a) option
-val pop : 'a t -> (float * 'a) option
+(** The minimum entry's time, insertion sequence number and payload.
+    The seq is the deterministic tie-break key: the engine tags
+    deferred cross-shard effects with pop positions derived from it,
+    so barriers replay them in an order independent of the shard
+    count. All three raise [Invalid_argument] on an empty queue. *)
+val top_time : 'a t -> float
 
-(** Like {!pop}, also exposing the entry's insertion sequence number —
-    the deterministic tie-break key. The sharded engine tags deferred
-    cross-shard effects with it so barriers can replay them in an
-    order independent of the shard count. *)
-val pop_entry : 'a t -> (float * int * 'a) option
+val top_seq : 'a t -> int
+val top : 'a t -> 'a
+
+(** Remove the minimum entry. Raises [Invalid_argument] when empty. *)
+val drop_top : 'a t -> unit
+
+(** Remove and return the minimum entry, [None] when empty. *)
+val pop : 'a t -> (float * 'a) option

@@ -111,12 +111,16 @@ module Heap = struct
 end
 
 (* A secondary index over a set of 1-indexed field positions: probe
-   key -> (primary key -> row). Buckets are keyed by the same
-   canonical-value strings as primary keys, so index identity follows
-   [Value.equal] exactly like the main table. *)
+   key -> the bucket of rows with those field values, ordered by row
+   seq. Buckets are keyed by the same canonical-value strings as
+   primary keys, so index identity follows [Value.equal] exactly like
+   the main table. Seq is unique among live rows, so it also finds a
+   row inside its bucket. *)
+type bucket = { mutable brows : row array; mutable blen : int }
+
 type index = {
   ipositions : int list;
-  buckets : row Strtbl.t Strtbl.t;
+  buckets : bucket Strtbl.t;
 }
 
 type t = {
@@ -202,24 +206,46 @@ let is_expired t ~now row = now -. row.inserted_at > t.lifetime
 
 let bucket_key idx tuple = canonical_cat (Tuple.key_of tuple idx.ipositions)
 
-let index_add idx k row =
-  let bk = bucket_key idx row.tuple in
-  let bucket =
-    match Strtbl.find_opt idx.buckets bk with
-    | Some b -> b
-    | None ->
-        let b = Strtbl.create 4 in
-        Strtbl.replace idx.buckets bk b;
-        b
-  in
-  Strtbl.replace bucket k row
+(* The first position in [b] whose row seq is not below [seq]. *)
+let seq_position b seq =
+  let lo = ref 0 and hi = ref b.blen in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if b.brows.(mid).seq < seq then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let index_remove idx k row =
+(* A new row has the largest seq and lands at the end; a replaced row
+   keeps its seq and is slotted back into seq order. *)
+let index_add idx row =
   let bk = bucket_key idx row.tuple in
   match Strtbl.find_opt idx.buckets bk with
-  | Some bucket ->
-      Strtbl.remove bucket k;
-      if Strtbl.length bucket = 0 then Strtbl.remove idx.buckets bk
+  | None -> Strtbl.replace idx.buckets bk { brows = Array.make 4 row; blen = 1 }
+  | Some b ->
+      let n = b.blen in
+      if n = Array.length b.brows then begin
+        let a = Array.make (2 * n) row in
+        Array.blit b.brows 0 a 0 n;
+        b.brows <- a
+      end;
+      let i = if b.brows.(n - 1).seq < row.seq then n else seq_position b row.seq in
+      Array.blit b.brows i b.brows (i + 1) (n - i);
+      b.brows.(i) <- row;
+      b.blen <- n + 1
+
+let index_remove idx row =
+  let bk = bucket_key idx row.tuple in
+  match Strtbl.find_opt idx.buckets bk with
+  | Some b ->
+      let i = seq_position b row.seq in
+      if i < b.blen && b.brows.(i) == row then begin
+        let n = b.blen - 1 in
+        Array.blit b.brows (i + 1) b.brows i (n - i);
+        (* the vacated slot must not keep a removed row alive *)
+        if n > 0 then b.brows.(n) <- b.brows.(0);
+        b.blen <- n;
+        if n = 0 then Strtbl.remove idx.buckets bk
+      end
   | None -> ()
 
 (* Push the row's current stamp. Stale entries only leave the heap
@@ -244,13 +270,13 @@ let push_stamp t k row =
 let attach t k row =
   Strtbl.replace t.rows k row;
   t.bytes <- t.bytes + Tuple.size_bytes row.tuple;
-  List.iter (fun idx -> index_add idx k row) t.indexes;
+  List.iter (fun idx -> index_add idx row) t.indexes;
   if tracks_age t then push_stamp t k row
 
 let detach t k row =
   Strtbl.remove t.rows k;
   t.bytes <- t.bytes - Tuple.size_bytes row.tuple;
-  List.iter (fun idx -> index_remove idx k row) t.indexes
+  List.iter (fun idx -> index_remove idx row) t.indexes
 
 let touch t k row ~now =
   row.inserted_at <- now;
@@ -418,7 +444,7 @@ let ensure_index t positions =
   | Some idx -> idx
   | None ->
       let idx = { ipositions = positions; buckets = Strtbl.create 64 } in
-      Strtbl.iter (fun k row -> index_add idx k row) t.rows;
+      Strtbl.iter (fun _ row -> index_add idx row) t.rows;
       t.indexes <- idx :: t.indexes;
       idx
 
@@ -426,8 +452,9 @@ let indexed_positions t = List.map (fun idx -> idx.ipositions) t.indexes
 
 (** Live rows whose fields at [positions] (1-indexed) equal [values]
     under {!Value.equal}, in insertion (seq) order — the same subset
-    and order a scan-and-filter would produce, at O(matches log
-    matches) instead of O(N). An empty [positions] is a full scan. *)
+    and order a scan-and-filter would produce, at O(matches) instead
+    of O(N): the bucket is kept in seq order. An empty [positions] is
+    a full scan. *)
 let probe t ~now ~positions ~values =
   if List.length positions <> List.length values then
     invalid_arg "Table.probe: positions/values length mismatch";
@@ -438,10 +465,12 @@ let probe t ~now ~positions ~values =
     let idx = ensure_index t positions in
     match Strtbl.find_opt idx.buckets (canonical_cat values) with
     | None -> []
-    | Some bucket ->
-        Strtbl.fold (fun _ row acc -> row :: acc) bucket []
-        |> List.sort (fun a b -> Stdlib.compare a.seq b.seq)
-        |> List.map (fun row -> row.tuple)
+    | Some b ->
+        let acc = ref [] in
+        for i = b.blen - 1 downto 0 do
+          acc := b.brows.(i).tuple :: !acc
+        done;
+        !acc
   end
 
 (* Expire first, exactly as a fold over the rows would, so sampling

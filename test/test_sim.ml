@@ -89,6 +89,72 @@ let prop_queue_sorted =
       let out = drain [] in
       out = List.sort compare times)
 
+(* Model check of the flat heap against a stable sort by (time,
+   insertion): random interleavings of schedule, pop, the top
+   accessors and drains to empty, with times drawn from a handful of
+   values so exact ties are the common case. Payloads are insertion
+   indexes, which are also the seqs the queue must report. *)
+type queue_op = Schedule of int | Pop | Peek | Drain
+
+let gen_queue_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 300)
+      (frequency
+         [
+           (5, map (fun t -> Schedule t) (int_range 0 4));
+           (3, return Pop);
+           (2, return Peek);
+           (1, return Drain);
+         ]))
+
+let show_queue_op = function
+  | Schedule t -> Fmt.str "schedule %d" t
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Drain -> "drain"
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"queue = stable sort by (time, insertion)" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_queue_op) gen_queue_ops)
+    (fun ops ->
+      let module Q = Sim.Event_queue in
+      let q = Q.create () in
+      let model = ref [] (* (time, insertion), sorted *) and next = ref 0 in
+      let expect_pop () =
+        match (!model, Q.pop q) with
+        | [], None -> ()
+        | (t, i) :: rest, Some (t', i') when t = t' && i = i' -> model := rest
+        | _ -> QCheck.Test.fail_report "pop differs from the model"
+      in
+      List.iter
+        (function
+          | Schedule t ->
+              let time = float_of_int t in
+              Q.schedule q ~time !next;
+              model := List.stable_sort (fun (a, _) (b, _) -> compare a b)
+                  (!model @ [ (time, !next) ]);
+              incr next
+          | Pop -> expect_pop ()
+          | Peek -> (
+              match !model with
+              | [] -> if not (Q.is_empty q) then QCheck.Test.fail_report "not empty"
+              | (t, i) :: _ ->
+                  if Q.top_time q <> t || Q.top q <> i || Q.top_seq q <> i then
+                    QCheck.Test.fail_report "top differs from the model")
+          | Drain ->
+              while !model <> [] do
+                expect_pop ()
+              done;
+              if Q.pop q <> None then QCheck.Test.fail_report "drained queue not empty")
+        ops;
+      Q.length q = List.length !model)
+
+let test_queue_rejects_nan () =
+  let q = Sim.Event_queue.create () in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Event_queue.schedule: NaN time")
+    (fun () -> Sim.Event_queue.schedule q ~time:Float.nan ());
+  Alcotest.(check int) "nothing queued" 0 (Sim.Event_queue.length q)
+
 let test_network_fifo () =
   (* even with jitter, per-channel delivery times are monotone *)
   let net = Sim.Network.create ~base_latency:0.01 ~jitter:0.05 (Sim.Rng.create 1) in
@@ -313,6 +379,8 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_queue_interleaved;
           QCheck_alcotest.to_alcotest prop_queue_sorted;
+          QCheck_alcotest.to_alcotest prop_queue_model;
+          Alcotest.test_case "rejects NaN" `Quick test_queue_rejects_nan;
         ] );
       ( "network",
         [

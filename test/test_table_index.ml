@@ -296,6 +296,30 @@ let test_index_key_identity () =
   in
   Alcotest.(check int) "int probe finds id row" 1 (List.length got)
 
+(* A replaced row keeps its seq: when the replacement changes the
+   indexed field, the row moves to another bucket and must land in seq
+   position there, not at its end, so probes stay in insertion order. *)
+let test_replace_moves_bucket () =
+  let table = Table.create ~keys:[ 1; 2 ] "t" in
+  let put k v = ignore (Table.insert table ~now:0. (mk_tuple k v)) in
+  let probe v =
+    Table.probe table ~now:0. ~positions:[ 3 ] ~values:[ Value.VInt v ]
+    |> List.map (fun tu -> Value.as_int (Tuple.field tu 2))
+  in
+  List.iter (fun (k, v) -> put k v) [ (0, 7); (1, 8); (2, 7); (3, 8); (4, 7) ];
+  Alcotest.(check (list int)) "bucket 7" [ 0; 2; 4 ] (probe 7);
+  put 3 7;
+  Alcotest.(check (list int)) "row 3 lands mid-bucket" [ 0; 2; 3; 4 ] (probe 7);
+  Alcotest.(check (list int)) "row 3 left bucket 8" [ 1 ] (probe 8);
+  put 0 8;
+  Alcotest.(check (list int)) "row 0 lands first" [ 0; 1 ] (probe 8);
+  Alcotest.(check (list int)) "row 0 left bucket 7" [ 2; 3; 4 ] (probe 7);
+  put 5 8;
+  Alcotest.(check (list int)) "new row appends" [ 0; 1; 5 ] (probe 8);
+  Alcotest.(check (list int)) "tuples agree"
+    [ 0; 1; 2; 3; 4; 5 ]
+    (List.map (fun tu -> Value.as_int (Tuple.field tu 2)) (Table.tuples table ~now:0.))
+
 (* An immortal single-key table never expires and never evicts, so
    nothing pops its age heap: without compaction every refresh and
    replace would leave one more stale entry behind. *)
@@ -353,6 +377,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_lazy_index_equals_scan;
           Alcotest.test_case "index creation" `Quick test_index_created;
           Alcotest.test_case "index key identity" `Quick test_index_key_identity;
+          Alcotest.test_case "replace moves bucket in seq order" `Quick
+            test_replace_moves_bucket;
         ] );
       ( "heap",
         [

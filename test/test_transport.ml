@@ -167,6 +167,80 @@ let test_remove_node_purges () =
   (* armed timers for the retired address must be inert *)
   Engine.run_for engine 30.
 
+(* --- network links --- *)
+
+let sendq_depth engine addr =
+  Metrics.value (P2_runtime.Node.registry (Engine.node engine addr)) "net.sendq.depth"
+
+(* In-flight counts live on the links: a frame counts from the send
+   until its delivery is popped. Fire-and-forget mode sends no acks or
+   heartbeats, so once the injected frames land the run is quiet. *)
+let test_links_quiesce () =
+  let engine = two_nodes ~reliable:false () in
+  Engine.install engine "a" forward_rule;
+  for i = 1 to 5 do
+    ignore @@ Engine.inject engine "a" "ev" [ Value.VInt i ]
+  done;
+  Alcotest.(check int) "frames in flight after inject" 5
+    (Engine.inflight engine ~src:"a" ~dst:"b");
+  Alcotest.(check (option (float 0.))) "a's gauge reads them" (Some 5.)
+    (sendq_depth engine "a");
+  Engine.run_for engine 5.;
+  List.iter
+    (fun (src, dst) ->
+      Alcotest.(check int) (Fmt.str "%s->%s drained" src dst) 0
+        (Engine.inflight engine ~src ~dst))
+    (Sim.Network.links (Engine.network engine));
+  List.iter
+    (fun a ->
+      Alcotest.(check (option (float 0.))) (a ^ " net.sendq.depth") (Some 0.)
+        (sendq_depth engine a))
+    (Engine.addrs engine)
+
+(* Retiring a node drops every link that names it, and the frame still
+   in flight toward it dies at delivery without touching anything. *)
+let test_remove_node_drops_links () =
+  let engine = two_nodes () in
+  Engine.install engine "a" forward_rule;
+  ignore @@ Engine.inject engine "a" "ev" [ Value.VInt 1 ];
+  let names_b () =
+    List.filter
+      (fun (src, dst) -> src = "b" || dst = "b")
+      (Sim.Network.links (Engine.network engine))
+  in
+  Alcotest.(check int) "frame in flight to b" 1 (Engine.inflight engine ~src:"a" ~dst:"b");
+  Engine.remove_node engine "b";
+  Alcotest.(check (list (pair string string))) "no link names b" [] (names_b ());
+  Alcotest.(check int) "a->b reads 0" 0 (Engine.inflight engine ~src:"a" ~dst:"b");
+  Engine.run_for engine 10.;
+  Alcotest.(check (list (pair string string))) "none re-created" [] (names_b ());
+  Alcotest.(check (option (float 0.))) "a's gauge" (Some 0.) (sendq_depth engine "a")
+
+(* The FIFO floor lives on the link in the network's table, not in the
+   sender's transport: a restarted sender's new channel resolves the
+   same link, so frames sent after the restart never overtake the ones
+   sent before it, however large the jitter. *)
+let test_restart_keeps_fifo_floor () =
+  let engine = two_nodes ~reliable:false () in
+  Engine.set_latency engine ~base:0.01 ~jitter:0.5;
+  Engine.install engine "a" forward_rule;
+  let got = Engine.collect engine "b" "ping" in
+  let burst from =
+    for i = from to from + 9 do
+      ignore @@ Engine.inject engine "a" "ev" [ Value.VInt i ]
+    done
+  in
+  burst 0;
+  let net = Engine.network engine in
+  let before = Option.get (Sim.Network.find_link net ~src:"a" ~dst:"b") in
+  ignore (Engine.restart engine "a");
+  burst 10;
+  Alcotest.(check bool) "same link after restart" true
+    (Option.get (Sim.Network.find_link net ~src:"a" ~dst:"b") == before);
+  Engine.run_for engine 5.;
+  Alcotest.(check (list int)) "delivered in send order across the restart"
+    (List.init 20 Fun.id) (ints_of (got ()))
+
 (* Host injection respects the fault model: refused while crashed. *)
 let test_inject_crash_guard () =
   let engine = two_nodes () in
@@ -369,6 +443,12 @@ let () =
             test_remove_node_purges;
           Alcotest.test_case "inject crash guard" `Quick
             test_inject_crash_guard;
+          Alcotest.test_case "links quiesce to zero in flight" `Quick
+            test_links_quiesce;
+          Alcotest.test_case "remove_node drops its links" `Quick
+            test_remove_node_drops_links;
+          Alcotest.test_case "restart keeps the FIFO floor" `Quick
+            test_restart_keeps_fifo_floor;
         ] );
       ( "flush point",
         [

@@ -110,7 +110,8 @@ let make_transport () =
     P2_runtime.Transport.create ~addr:"n0" ~rng:(Sim.Rng.create 7)
       ~now:(fun () -> !clock)
       ~schedule:(fun _ _ -> ())
-      ~raw_send:(fun ~dst:_ _ -> ())
+      ~raw_send:(fun _ _ -> ())
+      ~on_dirty:ignore
       ~active:(fun () -> true)
       ()
   in
