@@ -7,18 +7,40 @@
 
 open Overlog
 
+(* Everything the engine keeps for one address, from [add_node] to
+   [remove_node]. [restart] swaps in a fresh node and transport and
+   keeps the rest: the recorded programs and watchpoints stand in for
+   the configuration a real process re-reads from disk, and the
+   checkpoint writer is its disk. *)
+type host = {
+  addr : string;
+  mutable node : Node.t;
+  mutable transport : Transport.t;
+      (* the node's reliable-transport endpoint, between its emit path
+         and the raw network *)
+  mutable programs : installed list;  (* every install, newest first *)
+  mutable watches : (string * (Tuple.t -> unit)) list;
+      (* host-registered watchpoints, newest first *)
+  mutable ckpt : Checkpoint.writer option;  (* created on first snapshot *)
+  mutable live : bool;  (* false once removed *)
+}
+
+and installed = Src_text of string | Src_ast of Ast.program
+
 type event =
-  | Deliver of { link : Sim.Network.link; inc : int; packet : string }
+  | Deliver of { link : Sim.Network.link; epoch : int; packet : string }
       (* packet: the Wire-encoded message, decoded at delivery — every
          cross-node tuple really round-trips through the codec. [link]
          is the (src, dst) channel it travels on; its in-flight count
-         drops when the delivery is popped. [inc] is the destination's
-         incarnation at send time: a restart bumps it, so packets in
-         flight toward the previous incarnation are dropped instead of
-         aliasing into the fresh channel's sequence space *)
-  | Timer of { addr : string; inc : int; req : Node.timer_request }
-  | Sweep of { addr : string; inc : int }
-      (* the per-node soft-state sweep, every [sweep_interval] *)
+         drops when the delivery is popped. [epoch] is the link's epoch
+         at send time: a restart of [dst], or a removal of either end,
+         bumps it, so the packet dies instead of reaching a node it was
+         not sent to *)
+  | Timer of { host : host; node : Node.t; req : Node.timer_request }
+  | Sweep of { host : host; node : Node.t }
+      (* the per-node soft-state sweep, every [sweep_interval]. Timers
+         and sweeps belong to the node they were minted for and die
+         once [host] is removed or holds a restarted node *)
   | Callback of (unit -> unit)
       (* host-scheduled ([Engine.at]): may touch any node or the
          network tables, so it runs alone, on the calling domain,
@@ -145,10 +167,7 @@ type t = {
   rng : Sim.Rng.t;
   network : Sim.Network.t;
   queue : event Sim.Event_queue.t;
-  nodes : Node.t Strtbl.t;
-  transports : Transport.t Strtbl.t;
-      (* one reliable-transport endpoint per node, between the node's
-         emit path and the raw network *)
+  hosts : host Strtbl.t;
   mutable addrs_cache : string list option;
       (* sorted; invalidated on membership change instead of
          re-sorting on every [addrs] call *)
@@ -174,28 +193,12 @@ type t = {
   mutable checkpoint : (string * Checkpoint.config) option;
       (* durable-checkpoint root directory + cadence; every node,
          present and future, snapshots its hard state to [dir]/[addr]/ *)
-  ckpt_writers : Checkpoint.writer Strtbl.t;
-      (* per-address checkpoint writers. Keyed by address, not node:
-         they model the node's disk, so they survive [restart] *)
   mutable ckpt_armed : bool;  (* the periodic snapshot callback is live *)
-  incarnations : int Strtbl.t;
-      (* bumped by [restart]; events carry the incarnation they were
-         minted under, and stale ones die instead of reaching (or
-         rescheduling themselves onto) the reborn node *)
-  programs : installed list Strtbl.t;
-      (* every program installed per address, newest first — the
-         stand-in for the on-disk configuration a real process re-reads
-         when it restarts *)
-  host_watches : (string * (Tuple.t -> unit)) list Strtbl.t;
-      (* host-registered watchpoints per address, newest first;
-         re-attached after a restart so observers survive the crash *)
   mutable seq_handled : int;
       (* events handled outside the current shards: host callbacks
          between rounds, plus everything the shards replaced by the
          last [set_shards] had handled *)
 }
-
-and installed = Src_text of string | Src_ast of Ast.program
 
 (* Virtual seconds between one node's soft-state sweeps ([Sweep]). *)
 let sweep_interval = 1.0
@@ -212,8 +215,7 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
     rng;
     network = Sim.Network.create ~base_latency ~jitter ~loss_rate (Sim.Rng.split rng);
     queue = Sim.Event_queue.create ();
-    nodes = Strtbl.create 32;
-    transports = Strtbl.create 32;
+    hosts = Strtbl.create 32;
     addrs_cache = None;
     clock = 0.;
     trace_default = trace;
@@ -227,11 +229,7 @@ let create ?(seed = 1) ?(base_latency = 0.01) ?(jitter = 0.005) ?(loss_rate = 0.
       | _ -> false);
     trace_log = None;
     checkpoint = None;
-    ckpt_writers = Strtbl.create 32;
     ckpt_armed = false;
-    incarnations = Strtbl.create 32;
-    programs = Strtbl.create 32;
-    host_watches = Strtbl.create 32;
     seq_handled = 0;
   }
 
@@ -242,31 +240,26 @@ let now t =
 
 let network t = t.network
 
-(* Every event checks it; the table stays empty until a restart. *)
-let incarnation t addr =
-  if Strtbl.length t.incarnations = 0 then 0
-  else Option.value (Strtbl.find_opt t.incarnations addr) ~default:0
+(* The unified unknown-address check: every entry point raises the
+   same [Invalid_argument] shape, naming both the entry point [fn] and
+   the address. *)
+let host t fn addr =
+  match Strtbl.find_opt t.hosts addr with
+  | Some h -> h
+  | None -> invalid_arg (Fmt.str "Engine.%s: unknown node %s" fn addr)
 
-(* The unified unknown-address check for the lifecycle / fault API:
-   [remove_node], [crash], [recover] and [restart] all raise the same
-   [Invalid_argument] shape, naming both the entry point and the
-   address. *)
-let require_known t fn addr =
-  if not (Strtbl.mem t.nodes addr) then
-    invalid_arg (Fmt.str "Engine.%s: unknown node %s" fn addr)
+(* Whether an event minted for [node] still belongs to [h]'s node. *)
+let current h node = h.live && h.node == node
 
-let node t addr =
-  match Strtbl.find_opt t.nodes addr with
-  | Some n -> n
-  | None -> invalid_arg (Fmt.str "Engine.node: unknown node %s" addr)
+let node t addr = (host t "node" addr).node
+let node_opt t addr = Option.map (fun h -> h.node) (Strtbl.find_opt t.hosts addr)
 
-let node_opt t addr = Strtbl.find_opt t.nodes addr
 let addrs t =
   match t.addrs_cache with
   | Some l -> l
   | None ->
       let l =
-        Strtbl.fold (fun a _ acc -> a :: acc) t.nodes [] |> List.sort compare
+        Strtbl.fold (fun a _ acc -> a :: acc) t.hosts [] |> List.sort compare
       in
       t.addrs_cache <- Some l;
       l
@@ -339,8 +332,7 @@ let raw_send_now t ~now h packet =
   guard t "Engine.raw_send_now";
   let link = link_of t h in
   if Sim.Network.transmit t.network ~now link then
-    schedule t ~at:link.floor
-      (Deliver { link; inc = incarnation t link.dst; packet })
+    schedule t ~at:link.floor (Deliver { link; epoch = link.epoch; packet })
 
 (* A transport's send. Node code runs in its own shard, so the draining
    shard's clock is the sender's. *)
@@ -351,31 +343,23 @@ let raw_send t h packet =
   end
   else raw_send_now t ~now:t.clock h packet
 
-let transport t addr =
-  match Strtbl.find_opt t.transports addr with
-  | Some tr -> tr
-  | None -> invalid_arg (Fmt.str "Engine.transport: unknown node %s" addr)
+let transport t addr = (host t "transport" addr).transport
+let transport_opt t addr = Option.map (fun h -> h.transport) (Strtbl.find_opt t.hosts addr)
 
-let transport_opt t addr = Strtbl.find_opt t.transports addr
-
-(* Ship what [addr]'s transport coalesced while the host entry point
-   that just finished ran: frames leave at the instant, and the effect
+(* Host entry points ship what the transports coalesced while they ran
+   when they finish: frames leave at the instant, and the effect
    position, of the work that produced them (DESIGN.md §12). Inside a
-   round the shard flushes the transports its event dirtied instead. *)
-let flush_transport t addr =
-  match Strtbl.find_opt t.transports addr with
-  | Some tr -> Transport.flush tr
-  | None -> ()
-
-(* After host code that may have touched any node. *)
-let flush_transports t = List.iter (flush_transport t) (addrs t)
+   round the shard flushes the transports its event dirtied instead.
+   This is the flush after host code that may have touched any node. *)
+let flush_transports t =
+  List.iter (fun a -> Transport.flush (Strtbl.find t.hosts a).transport) (addrs t)
 
 (** Flip reliable transport on every node, present and future. Off
     reproduces the pre-transport fire-and-forget path (the loss-sweep
     control arm). *)
 let set_reliable t b =
   t.reliable <- b;
-  Strtbl.iter (fun _ tr -> Transport.set_reliable tr b) t.transports
+  Strtbl.iter (fun _ h -> Transport.set_reliable h.transport b) t.hosts
 
 let reliable t = t.reliable
 
@@ -389,11 +373,11 @@ let reliable t = t.reliable
 let set_seminaive t b =
   t.seminaive <- b;
   Strtbl.iter
-    (fun _ n ->
-      Dataflow.Machine.set_eval_mode (Node.machine n)
-        (if b then Dataflow.Machine.Seminaive else Dataflow.Machine.Naive))
-    t.nodes;
-  Strtbl.iter (fun _ tr -> Transport.set_batching tr b) t.transports
+    (fun _ h ->
+      Dataflow.Machine.set_eval_mode (Node.machine h.node)
+        (if b then Dataflow.Machine.Seminaive else Dataflow.Machine.Naive);
+      Transport.set_batching h.transport b)
+    t.hosts
 
 let seminaive t = t.seminaive
 
@@ -418,7 +402,7 @@ let attach_trace_log node addr (dir, config) =
 let set_trace_log ?(config = Seglog.default_config) t dir =
   guard t "Engine.set_trace_log";
   t.trace_log <- Some (dir, config);
-  Strtbl.iter (fun addr node -> attach_trace_log node addr (dir, config)) t.nodes
+  Strtbl.iter (fun addr h -> attach_trace_log h.node addr (dir, config)) t.hosts
 
 (** The flight-recorder root directory, when recording. *)
 let trace_log t = Option.map fst t.trace_log
@@ -427,26 +411,27 @@ let trace_log t = Option.map fst t.trace_log
     run loops at barriers; cheap when nothing is buffered. *)
 let flush_trace_logs t =
   if t.trace_log <> None then
-    Strtbl.iter (fun _ node -> Node.flush_trace_log node) t.nodes
+    Strtbl.iter (fun _ h -> Node.flush_trace_log h.node) t.hosts
+
+(* Flush and seal a node's segment log, and detach the writer. *)
+let seal_trace_log node =
+  match Node.trace_log node with
+  | Some w ->
+      Seglog.close w;
+      Node.set_trace_log node None
+  | None -> ()
 
 (** Stop recording: flush and seal every node's segment log and
     detach the writers. Future nodes no longer record. *)
 let close_trace_logs t =
-  Strtbl.iter
-    (fun _ node ->
-      match Node.trace_log node with
-      | Some w ->
-          Seglog.close w;
-          Node.set_trace_log node None
-      | None -> ())
-    t.nodes;
+  Strtbl.iter (fun _ h -> seal_trace_log h.node) t.hosts;
   t.trace_log <- None
 
-(* Create and wire a node + transport for [addr]. Shared by [add_node]
-   and [restart], so a reborn node goes through exactly the fresh-boot
-   path: new RNG splits, new transport (sequence state starts over),
-   new metric registry. *)
-let wire_node ?tracer_config ?trace t addr =
+(* Create and wire a node + transport for [addr]: into a new host
+   record for [add_node], into [existing] for [restart], so a reborn
+   node goes through exactly the fresh-boot path: new RNG splits, new
+   transport (sequence state starts over), new metric registry. *)
+let wire_node ?tracer_config ?trace t addr existing =
   let trace = Option.value trace ~default:t.trace_default in
   (* A recording engine defaults new nodes to the shrunk spill window:
      the segment log holds the history their RAM no longer does. *)
@@ -476,6 +461,21 @@ let wire_node ?tracer_config ?trace t addr =
       ~active:(fun () -> not (Sim.Network.is_crashed t.network addr))
       ()
   in
+  let h =
+    match existing with
+    | Some h ->
+        h.node <- node;
+        h.transport <- tr;
+        h
+    | None ->
+        let h =
+          { addr; node; transport = tr; programs = []; watches = []; ckpt = None;
+            live = true }
+        in
+        Strtbl.replace t.hosts addr h;
+        t.addrs_cache <- None;
+        h
+  in
   Transport.set_reliable tr t.reliable;
   Transport.set_batching tr t.seminaive;
   Dataflow.Machine.set_eval_mode (Node.machine node)
@@ -492,8 +492,7 @@ let wire_node ?tracer_config ?trace t addr =
          from the engine RNG here is deterministic even when sharded. *)
       guard t "Engine.rng (timer stagger)";
       let offset = Sim.Rng.float t.rng *. req.period in
-      sched_owned t ~at:(t.clock +. offset)
-        (Timer { addr; inc = incarnation t addr; req }));
+      sched_owned t ~at:(t.clock +. offset) (Timer { host = h; node; req }));
   (* The send queue lives in the engine, so its depth gauge is wired
      here rather than in [Node.create] with the rest of the registry. *)
   Metrics.register (Node.registry node) "net.sendq.depth" Metrics.KGauge (fun () ->
@@ -515,12 +514,10 @@ let wire_node ?tracer_config ?trace t addr =
   (* ckpt.*: durable-checkpoint counters. Like trace.log.* they are
      registered unconditionally (the metric-documentation contract
      covers every node) and read 0 until checkpointing is enabled.
-     The writer is keyed by address — it models the node's disk — so
-     these survive a crash-restart where the node object does not. *)
+     The writer lives in the host record — it models the node's disk —
+     so these survive a crash-restart where the node object does not. *)
   let cstat f () =
-    match Strtbl.find_opt t.ckpt_writers addr with
-    | Some w -> f (Checkpoint.stats w)
-    | None -> 0.
+    match h.ckpt with Some w -> f (Checkpoint.stats w) | None -> 0.
   in
   let ckpt name f =
     Metrics.register (Node.registry node) name Metrics.KCounter (cstat f)
@@ -532,48 +529,36 @@ let wire_node ?tracer_config ?trace t addr =
   ckpt "ckpt.retention_drops" (fun s -> float_of_int s.Checkpoint.retention_drops);
   Metrics.register (Node.registry node) "ckpt.last_stamp" Metrics.KGauge
     (cstat (fun s -> if Float.is_nan s.Checkpoint.last_stamp then 0. else s.Checkpoint.last_stamp));
-  Strtbl.replace t.nodes addr node;
-  Strtbl.replace t.transports addr tr;
-  t.addrs_cache <- None;
-  schedule t
-    ~at:(t.clock +. sweep_interval)
-    (Sweep { addr; inc = incarnation t addr });
-  node
+  schedule t ~at:(t.clock +. sweep_interval) (Sweep { host = h; node });
+  h
 
 let add_node ?tracer_config ?trace t addr =
   guard t "Engine.add_node";
-  if Strtbl.mem t.nodes addr then
+  if Strtbl.mem t.hosts addr then
     invalid_arg (Fmt.str "Engine.add_node: duplicate node %s" addr);
-  wire_node ?tracer_config ?trace t addr
-
-(* Remember what the host fed this address, newest first. This is the
-   engine's stand-in for the on-disk configuration a real process
-   re-reads when it restarts: [restart] replays it oldest-first into
-   the reborn node. *)
-let record tbl addr entry =
-  Strtbl.replace tbl addr
-    (entry :: Option.value (Strtbl.find_opt tbl addr) ~default:[])
+  (wire_node ?tracer_config ?trace t addr None).node
 
 (** Install OverLog source on one node — usable at any point in the
-    run (the paper's on-line piecemeal deployment). *)
+    run (the paper's on-line piecemeal deployment). The program is
+    recorded for [restart] to replay. *)
 let install t addr source =
-  let n = node t addr in
-  record t.programs addr (Src_text source);
-  Node.install_text n source;
-  flush_transport t addr
+  let h = host t "node" addr in
+  h.programs <- Src_text source :: h.programs;
+  Node.install_text h.node source;
+  Transport.flush h.transport
 
 (** Toggle strict install-time analysis on every node, present and
     future: programs with error diagnostics raise [Analysis.Rejected]
     instead of being logged and installed anyway. *)
 let set_strict_install t b =
   t.strict_install <- b;
-  Strtbl.iter (fun _ n -> Node.set_strict_install n b) t.nodes
+  Strtbl.iter (fun _ h -> Node.set_strict_install h.node b) t.hosts
 
 let install_ast t addr program =
-  let n = node t addr in
-  record t.programs addr (Src_ast program);
-  Node.install n program;
-  flush_transport t addr
+  let h = host t "node" addr in
+  h.programs <- Src_ast program :: h.programs;
+  Node.install h.node program;
+  Transport.flush h.transport
 
 (** Install the same source on every node. *)
 let install_all t source =
@@ -581,9 +566,9 @@ let install_all t source =
   List.iter (fun addr -> install_ast t addr program) (addrs t)
 
 let watch t addr name f =
-  let n = node t addr in
-  record t.host_watches addr (name, f);
-  Node.watch n name f
+  let h = host t "node" addr in
+  h.watches <- (name, f) :: h.watches;
+  Node.watch h.node name f
 
 (** Inject an event tuple into a node from the host program, e.g. to
     start a ring traversal ([orderingEvent]) or a forensic walk
@@ -591,12 +576,12 @@ let watch t addr name f =
     Crashed hosts can not execute anything, so injection into one is
     refused; returns whether the tuple was delivered. *)
 let inject t addr name values =
-  let n = node t addr in
+  let h = host t "node" addr in
   if Sim.Network.is_crashed t.network addr then false
   else begin
-    let tuple = Node.create_tuple n ~dst:addr name (Value.VAddr addr :: values) in
-    Node.deliver n tuple;
-    flush_transport t addr;
+    let tuple = Node.create_tuple h.node ~dst:addr name (Value.VAddr addr :: values) in
+    Node.deliver h.node tuple;
+    Transport.flush h.transport;
     true
   end
 
@@ -608,13 +593,20 @@ let collect t addr name =
 
 (* --- Durable checkpoints --- *)
 
-let ckpt_writer t addr (dir, config) =
-  match Strtbl.find_opt t.ckpt_writers addr with
+let ckpt_writer h (dir, config) =
+  match h.ckpt with
   | Some w -> w
   | None ->
-      let w = Checkpoint.create ~config ~dir:(Filename.concat dir addr) () in
-      Strtbl.replace t.ckpt_writers addr w;
+      let w = Checkpoint.create ~config ~dir:(Filename.concat dir h.addr) () in
+      h.ckpt <- Some w;
       w
+
+let close_ckpt_writers t =
+  Strtbl.iter
+    (fun _ h ->
+      Option.iter Checkpoint.close h.ckpt;
+      h.ckpt <- None)
+    t.hosts
 
 (* Hard-state selection: catalog tables with infinite lifetime, minus
    the metric reflections and runtime bookkeeping (derived state the
@@ -647,13 +639,10 @@ let checkpoint_now t =
       List.iter
         (fun addr ->
           if not (Sim.Network.is_crashed t.network addr) then
-            match node_opt t addr with
-            | Some node ->
-                let w = ckpt_writer t addr cfg in
-                ignore
-                  (Checkpoint.write w ~stamp:t.clock
-                     ~tables:(hard_state node ~now:t.clock))
-            | None -> ())
+            let h = Strtbl.find t.hosts addr in
+            ignore
+              (Checkpoint.write (ckpt_writer h cfg) ~stamp:t.clock
+                 ~tables:(hard_state h.node ~now:t.clock)))
         (addrs t)
 
 let rec ckpt_tick t =
@@ -674,8 +663,7 @@ let set_checkpoint ?(config = Checkpoint.default_config) t dir =
   (match t.checkpoint with
   | Some (old_dir, _) when old_dir <> dir ->
       (* Redirecting to a fresh root: writers are per-directory. *)
-      Strtbl.iter (fun _ w -> Checkpoint.close w) t.ckpt_writers;
-      Strtbl.reset t.ckpt_writers
+      close_ckpt_writers t
   | _ -> ());
   t.checkpoint <- Some (dir, config);
   if not t.ckpt_armed then begin
@@ -689,8 +677,7 @@ let checkpoint_dir t = Option.map fst t.checkpoint
 (** Stop checkpointing and release the writers. Snapshot files stay
     on disk; the armed periodic callback dies at its next firing. *)
 let close_checkpoints t =
-  Strtbl.iter (fun _ w -> Checkpoint.close w) t.ckpt_writers;
-  Strtbl.reset t.ckpt_writers;
+  close_ckpt_writers t;
   t.checkpoint <- None;
   t.ckpt_armed <- false
 
@@ -699,48 +686,44 @@ let close_checkpoints t =
    through [now_for] and routes cross-cutting effects through
    [sched_owned]/[raw_send], which defer to the barrier when a round is
    active. During a round, shared engine state is only ever *read*
-   (nodes, transports, crash tables) — all writes are deferred
-   effects. *)
+   (hosts, crash tables) — all writes are deferred effects. *)
 let handle t event =
   match event with
-  | Deliver { link; inc; packet } -> (
-      (* A packet launched toward an earlier incarnation dies here:
-         after a restart both sides renegotiate from sequence 1, and a
-         stale frame would otherwise alias into the fresh channel. *)
+  | Deliver { link; epoch; packet } -> (
+      (* A packet whose link epoch moved dies here: it was launched
+         toward a node that has since restarted (both sides renegotiate
+         from sequence 1, and a stale frame would alias into the fresh
+         channel), or on a link a removal dropped. *)
       let dst = link.dst in
-      if inc = incarnation t dst && not (Sim.Network.is_crashed t.network dst) then
-        match Strtbl.find_opt t.transports dst with
-        | Some tr -> Transport.receive tr ~src:link.src packet
+      if epoch = link.epoch && not (Sim.Network.is_crashed t.network dst) then
+        match Strtbl.find_opt t.hosts dst with
+        | Some h -> Transport.receive h.transport ~src:link.src packet
         | None -> ())
-  | Timer { addr; inc; req } -> (
-      (* Stale-incarnation timers stop rescheduling themselves: the
-         restarted node reinstalls its programs and arms fresh timer
-         chains, so letting the old chain live would double every
-         periodic rule. *)
-      match node_opt t addr with
-      | Some node when inc = incarnation t addr ->
-          if not (Sim.Network.is_crashed t.network addr) then Node.fire_periodic node req;
-          sched_owned t ~at:(now_for t addr +. req.period) (Timer { addr; inc; req })
-      | _ -> ())
-  | Sweep { addr; inc } -> (
-      match node_opt t addr with
-      | Some node when inc = incarnation t addr ->
-          (* Store expiry is lazy: rows leave on the next expiry-aware
-             read. These two reads are the only periodic one, so they
-             fire the expiry Delete deltas of quiet tables (aggregate
-             recomputes, tracer reclamation) on time. Seeded runs
-             depend on the reads and their order; keep both. *)
-          ignore (Node.live_bytes node);
-          ignore (Node.live_tuples node);
-          sched_owned t ~at:(now_for t addr +. sweep_interval)
-            (Sweep { addr; inc })
-      | _ -> ())
+  | Timer { host; node; req } ->
+      (* A chain minted for a replaced or removed node stops here: the
+         restarted node reinstalls its programs and arms fresh chains,
+         so letting the old one live would double every periodic rule. *)
+      if current host node then begin
+        if not (Sim.Network.is_crashed t.network host.addr) then Node.fire_periodic node req;
+        sched_owned t ~at:(now_for t host.addr +. req.period) event
+      end
+  | Sweep { host; node } ->
+      if current host node then begin
+        (* Store expiry is lazy: rows leave on the next expiry-aware
+           read. These two reads are the only periodic one, so they
+           fire the expiry Delete deltas of quiet tables (aggregate
+           recomputes, tracer reclamation) on time. Seeded runs depend
+           on the reads and their order; keep both. *)
+        ignore (Node.live_bytes node);
+        ignore (Node.live_tuples node);
+        sched_owned t ~at:(now_for t host.addr +. sweep_interval) event
+      end
   | Callback f -> f ()
   | Owned_callback { f; _ } -> f ()
 
 let owner_of = function
   | Deliver { link; _ } -> link.dst
-  | Timer { addr; _ } | Sweep { addr; _ } -> addr
+  | Timer { host; _ } | Sweep { host; _ } -> host.addr
   | Owned_callback { owner; _ } -> owner
   | Callback _ -> invalid_arg "Engine.owner_of: host callback"
 
@@ -926,54 +909,45 @@ let shards t = t.sharding.n
 let events_handled t =
   Array.fold_left (fun acc sh -> acc + sh.handled) t.seq_handled t.sharding.shards
 
-(** Retire a node (churn "leave"). Pending events addressed to it
-    (deliveries, timers, sweeps) die silently because every handler
-    re-resolves the address; the address can not be reused. All
-    per-address state is purged: its transport stops, the remaining
-    transports forget their channels to it, and the network's links
-    naming it (FIFO floors, link cuts, in-flight counts) and its crash
-    flag go too — so long churn campaigns don't leak. *)
+(* The process image at [h] is gone — the step [remove_node] and
+   [restart] share. Seal its flight recorder (the history on disk
+   survives: that is the recorder's point), silence its transport, and
+   have every peer forget its channel to the address, so both sides
+   renegotiate from sequence 1 if traffic resumes. Bumping the epoch of
+   every link into the address drops the frames in flight toward the
+   old node at delivery: restart is reset, not replay — durability is
+   the checkpoint's job, not the send queue's. *)
+let retire t h =
+  seal_trace_log h.node;
+  Transport.stop h.transport;
+  Strtbl.iter (fun _ p -> if p != h then Transport.forget_peer p.transport h.addr) t.hosts;
+  Sim.Network.expire_into t.network h.addr
+
+(** Retire a node (churn "leave"). Its timers and sweeps die with the
+    host record; the network drops every link naming the address, and
+    with it the frames in flight in either direction. All per-address
+    state goes — so long churn campaigns don't leak — and a later
+    [add_node] of the address starts clean. Checkpoint files stay on
+    disk for forensics. *)
 let remove_node t addr =
-  require_known t "remove_node" addr;
-  let n = node t addr in
-  (* Seal the departing node's flight recorder so its history survives
-     the churn event intact. *)
-  (match Node.trace_log n with
-  | Some w ->
-      Seglog.close w;
-      Node.set_trace_log n None
-  | None -> ());
-  Strtbl.remove t.nodes addr;
-  (match Strtbl.find_opt t.transports addr with
-  | Some tr ->
-      Transport.stop tr;
-      Strtbl.remove t.transports addr
-  | None -> ());
-  Strtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
-  Sim.Network.forget t.network addr;
-  (* Per-address recovery state goes too: the address can't be reused,
-     so keeping recorded programs / watches / checkpoint writers would
-     leak across a long churn campaign. Checkpoint files stay on disk
-     for forensics. *)
-  (match Strtbl.find_opt t.ckpt_writers addr with
-  | Some w ->
-      Checkpoint.close w;
-      Strtbl.remove t.ckpt_writers addr
-  | None -> ());
-  Strtbl.remove t.programs addr;
-  Strtbl.remove t.host_watches addr;
-  Strtbl.remove t.incarnations addr;
-  t.addrs_cache <- None
+  let h = host t "remove_node" addr in
+  retire t h;
+  h.live <- false;
+  Option.iter Checkpoint.close h.ckpt;
+  Strtbl.remove t.hosts addr;
+  t.addrs_cache <- None;
+  Sim.Network.forget t.network addr
 
 (* --- Fault injection --- *)
 
 let crash t addr =
-  require_known t "crash" addr;
+  ignore (host t "crash" addr);
   Sim.Network.crash t.network addr
 
 let recover t addr =
-  require_known t "recover" addr;
+  ignore (host t "recover" addr);
   Sim.Network.recover t.network addr
+
 let is_crashed t addr = Sim.Network.is_crashed t.network addr
 
 (* --- Crash-restart recovery --- *)
@@ -989,33 +963,10 @@ type restart_outcome = {
 
 let restart ?tracer_config ?trace t addr =
   guard t "Engine.restart";
-  require_known t "restart" addr;
-  let old = node t addr in
-  (* The process image is gone: seal its flight recorder (history on
-     disk survives the crash — that is the point of the recorder),
-     stop its transport, and drop the node object. *)
-  (match Node.trace_log old with
-  | Some w ->
-      Seglog.close w;
-      Node.set_trace_log old None
-  | None -> ());
-  (match Strtbl.find_opt t.transports addr with
-  | Some tr ->
-      Transport.stop tr;
-      Strtbl.remove t.transports addr
-  | None -> ());
-  Strtbl.remove t.nodes addr;
-  (* Peer re-handshake: every surviving transport forgets its channel
-     to [addr], so both sides renegotiate from sequence 1 / cumulative
-     ack 0 when traffic resumes. Frames queued toward the dead
-     incarnation are legitimately lost — restart is reset-not-replay;
-     durability is the checkpoint's job, not the send queue's. *)
-  Strtbl.iter (fun _ tr -> Transport.forget_peer tr addr) t.transports;
-  (* Bump the incarnation: packets, timers and sweeps minted for the
-     previous life die in [handle] instead of reaching the new one. *)
-  Strtbl.replace t.incarnations addr (incarnation t addr + 1);
+  let h = host t "restart" addr in
+  retire t h;
   Sim.Network.recover t.network addr;
-  let node = wire_node ?tracer_config ?trace t addr in
+  let node = (wire_node ?tracer_config ?trace t addr (Some h)).node in
   (* Replay the recorded configuration oldest-first — programs then
      host watchpoints — exactly as a restarted process re-reads its
      config from disk. Replays go straight to the node: they are
@@ -1024,10 +975,8 @@ let restart ?tracer_config ?trace t addr =
     (function
       | Src_text s -> Node.install_text node s
       | Src_ast p -> Node.install node p)
-    (List.rev (Option.value (Strtbl.find_opt t.programs addr) ~default:[]));
-  List.iter
-    (fun (name, f) -> Node.watch node name f)
-    (List.rev (Option.value (Strtbl.find_opt t.host_watches addr) ~default:[]));
+    (List.rev h.programs);
+  List.iter (fun (name, f) -> Node.watch node name f) (List.rev h.watches);
   (* Restore hard state from the newest intact snapshot, scanning past
      damaged files; re-minted rows go through [deliver], so delta
      strands fire and the recovery cascade (e.g. Chord re-advertising
@@ -1059,7 +1008,7 @@ let restart ?tracer_config ?trace t addr =
             })
   in
   (* The replayed programs and the restore cascade ship now. *)
-  flush_transport t addr;
+  Transport.flush h.transport;
   outcome
 
 let cut_link t ~src ~dst = Sim.Network.cut_link t.network ~src ~dst

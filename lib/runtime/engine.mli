@@ -204,12 +204,16 @@ val shards : t -> int
     the denominator for allocs-per-event measurements. *)
 val events_handled : t -> int
 
-(** Retire a node permanently (churn "leave"): pending events addressed
-    to it are dropped on delivery, and all per-address state (its
-    transport, peers' channels to it, the network links naming it with
-    their FIFO floors, cuts and in-flight counts, its crash flag) is
-    purged. Raises [Invalid_argument]
-    for unknown addresses; the address can not be reused. *)
+(** Retire a node (churn "leave"): its flight recorder is sealed, its
+    transport stopped, and all per-address state (recorded programs and
+    watchpoints, checkpoint writer, peers' channels to it, the network
+    links naming it with their FIFO floors, cuts and in-flight counts,
+    its crash flag) is purged. Its timers and sweeps name the node they
+    were armed for and die with it; dropping a link bumps its epoch, so
+    frames in flight in either direction — toward the node, or sent by
+    it before it left — are discarded at delivery. A later {!add_node}
+    of the address starts clean: none of the old node's events reach
+    the new one. Raises [Invalid_argument] for unknown addresses. *)
 val remove_node : t -> string -> unit
 
 (** Fault injection. [crash] and [recover] raise [Invalid_argument]
@@ -234,9 +238,13 @@ type restart_outcome = {
     image. The old node object (all RAM state) is discarded, its
     flight-recorder log sealed, its transport stopped; every peer
     forgets its channel to it, so the reliable layer renegotiates from
-    sequence 1 when traffic resumes — restart is reset-not-replay, and
-    frames in flight toward the dead incarnation are dropped rather
-    than allowed to alias into the fresh sequence space. The node is
+    sequence 1 when traffic resumes. Restart is reset-not-replay: the
+    epoch of every network link into the address is bumped, so frames
+    in flight toward the old node are dropped at delivery rather than
+    allowed to alias into the fresh sequence space (frames the old
+    node sent still arrive, and links keep their FIFO floors), and the
+    old node's timers and sweeps, which name the node they were armed
+    for, stop instead of firing into the new one. The node is
     rebuilt through the same wiring as {!add_node}, its recorded
     programs and host watchpoints are replayed oldest-first (the
     on-disk-configuration analog), and hard state is restored from the

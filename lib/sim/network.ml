@@ -10,7 +10,9 @@
     and kept in the network's pair table, so its FIFO floor outlives
     the transports that send on it (a restarted node's new channels
     find the old floor). Senders hold a {!handle} and resolve it once;
-    after that a send touches no table. *)
+    after that a send touches no table. A message carries its link's
+    epoch from the send; bumping the epoch voids every message then in
+    flight on the link. *)
 
 type fate = Deliver of float  (** delivery time *) | Drop of string  (** reason *)
 
@@ -21,6 +23,7 @@ type link = {
   mutable floor : float;  (* [neg_infinity] before the first message *)
   mutable inflight : int;
   mutable cut : bool;
+  mutable epoch : int;
 }
 
 type handle = { hsrc : string; hdst : string; mutable link : link option }
@@ -64,7 +67,7 @@ let link t ~src ~dst =
   | None ->
       let l =
         { src; dst; self = String.equal src dst; floor = neg_infinity; inflight = 0;
-          cut = false }
+          cut = false; epoch = 0 }
       in
       Strtbl.Pair.replace t.links (src, dst) l;
       Strtbl.replace t.outgoing src
@@ -97,9 +100,13 @@ let recover t node = Strtbl.remove t.crashed node
    empty, so skip the lookup then. *)
 let is_crashed t node = Strtbl.length t.crashed > 0 && Strtbl.mem t.crashed node
 
+let expire_into t node =
+  Strtbl.Pair.iter (fun _ l -> if String.equal l.dst node then l.epoch <- l.epoch + 1) t.links
+
 (** Drop every link that names [node] (FIFO floors, link cuts,
-    in-flight counts) and its crash state. Used when a node is retired
-    so the tables don't leak across long churn campaigns. *)
+    in-flight counts), voiding what is in flight on them, and its crash
+    state. Used when a node is retired so the tables don't leak across
+    long churn campaigns. *)
 let forget t node =
   let stale =
     Strtbl.Pair.fold
@@ -108,6 +115,7 @@ let forget t node =
   in
   List.iter
     (fun l ->
+      l.epoch <- l.epoch + 1;
       Strtbl.Pair.remove t.links (l.src, l.dst);
       match Strtbl.find_opt t.outgoing l.src with
       | Some ls when not (String.equal l.src node) ->

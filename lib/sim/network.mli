@@ -18,6 +18,10 @@ type link = private {
           which the next one may not precede *)
   mutable inflight : int;  (** accepted and not yet {!arrived} *)
   mutable cut : bool;
+  mutable epoch : int;
+      (** bumped to void every message in flight on the link: a
+          message whose epoch at send no longer matches is dropped at
+          delivery *)
 }
 
 (** A sender's reference to the (src, dst) link that may not be
@@ -51,8 +55,13 @@ val resolved : handle -> link option
 val links : t -> (string * string) list
 
 (** Drop every link that names a retired address — FIFO floors, link
-    cuts, in-flight counts — and its crash flag. *)
+    cuts, in-flight counts — bumping each one's epoch, and its crash
+    flag. *)
 val forget : t -> string -> unit
+
+(** Bump the epoch of every link into an address, voiding what is in
+    flight toward it; the links and their FIFO floors stay. *)
+val expire_into : t -> string -> unit
 
 (** Decide the fate of a message on a link sent at [now]: [true] when
     the network accepted it, due at the link's new [floor], and counted

@@ -1,8 +1,9 @@
 (* Reliable transport end-to-end: eventual exactly-once delivery under
    loss, the ablated control arm, the peer failure detector observed
    through p2PeerStatus + the pure-OverLog watchdog, bounded send
-   queues, node-retirement purges, the inject crash guard, the
-   per-event flush of the delta-batch buffers, and the headline
+   queues, node-retirement purges, restart and re-add semantics (one
+   timer chain, no frame crossing into a new node), the inject crash
+   guard, the per-event flush of the delta-batch buffers, and the headline
    acceptance run: an 8-node Chord ring converging under 20 %
    uniform loss with the transport on and failing with it off. *)
 
@@ -241,6 +242,77 @@ let test_restart_keeps_fifo_floor () =
   Alcotest.(check (list int)) "delivered in send order across the restart"
     (List.init 20 Fun.id) (ints_of (got ()))
 
+(* --- restart and re-add semantics --- *)
+
+let periodic_rule = "p1 tick@N(E) :- periodic@N(E, 1)."
+
+(* A restart rebuilds the node and re-arms its periodic rules from the
+   replayed program; the timer chain armed for the old node must die,
+   or every periodic rule would fire twice per period. *)
+let test_restart_single_timer_chain () =
+  let engine = Engine.create ~seed:3 () in
+  ignore (Engine.add_node engine "a");
+  Engine.install engine "a" periodic_rule;
+  let ticks = ref 0 in
+  Engine.watch engine "a" "tick" (fun _ -> incr ticks);
+  Engine.run_until engine 10.;
+  ignore (Engine.restart engine "a");
+  ticks := 0;
+  Engine.run_until engine 30.;
+  Alcotest.(check int) "one tick per second after the restart" 20 !ticks
+
+(* Restart is reset, not replay: a frame launched toward the old node
+   dies in flight (it would otherwise alias into the renegotiated
+   sequence space, and the first frame after the restart would be
+   taken for its duplicate), while a frame sent after the restart
+   reaches the reborn node. *)
+let test_restart_drops_frames_to_old_node () =
+  let engine = two_nodes () in
+  Engine.install engine "a" forward_rule;
+  let got = Engine.collect engine "b" "ping" in
+  ignore @@ Engine.inject engine "a" "ev" [ Value.VInt 1 ];
+  Alcotest.(check int) "frame in flight to b" 1 (Engine.inflight engine ~src:"a" ~dst:"b");
+  ignore (Engine.restart engine "b");
+  Engine.run_for engine 5.;
+  Alcotest.(check (list int)) "in-flight frame dropped" [] (ints_of (got ()));
+  ignore @@ Engine.inject engine "a" "ev" [ Value.VInt 2 ];
+  Engine.run_for engine 5.;
+  Alcotest.(check (list int)) "post-restart frame delivered" [ 2 ] (ints_of (got ()))
+
+(* A frame the retired node sent before it left (here b's delayed ack)
+   must not reach its peer: delivered, it would re-create a's channel
+   to b and the link b>a, and a would heartbeat the dead address for
+   the rest of the run. *)
+let test_remove_node_drops_ghost_frames () =
+  let engine = two_nodes () in
+  Engine.install engine "a" forward_rule;
+  ignore @@ Engine.inject engine "a" "ev" [ Value.VInt 1 ];
+  Engine.run_until engine 0.07;
+  Engine.remove_node engine "b";
+  let net = Engine.network engine in
+  let sent_at_leave = Sim.Network.tx_count net in
+  Engine.run_until engine 60.;
+  Alcotest.(check bool) "a has no channel to b" true
+    (Transport.peer_status (Engine.transport engine "a") "b" = None);
+  Alcotest.(check (list (pair string string))) "no link names b" []
+    (List.filter (fun (src, dst) -> src = "b" || dst = "b") (Sim.Network.links net));
+  Alcotest.(check int) "no sends after the leave" 0 (Sim.Network.tx_count net - sent_at_leave)
+
+(* A removed address may be added again, and the new node starts
+   clean: no timer chain, frame or state of the old one reaches it. *)
+let test_readd_starts_clean () =
+  let engine = Engine.create ~seed:3 () in
+  ignore (Engine.add_node engine "a");
+  Engine.install engine "a" periodic_rule;
+  Engine.run_until engine 10.;
+  Engine.remove_node engine "a";
+  ignore (Engine.add_node engine "a");
+  Engine.install engine "a" periodic_rule;
+  let ticks = ref 0 in
+  Engine.watch engine "a" "tick" (fun _ -> incr ticks);
+  Engine.run_until engine 30.;
+  Alcotest.(check int) "one tick per second in the new node" 20 !ticks
+
 (* Host injection respects the fault model: refused while crashed. *)
 let test_inject_crash_guard () =
   let engine = two_nodes () in
@@ -449,6 +521,14 @@ let () =
             test_remove_node_drops_links;
           Alcotest.test_case "restart keeps the FIFO floor" `Quick
             test_restart_keeps_fifo_floor;
+          Alcotest.test_case "restart keeps one timer chain" `Quick
+            test_restart_single_timer_chain;
+          Alcotest.test_case "restart drops frames to the old node" `Quick
+            test_restart_drops_frames_to_old_node;
+          Alcotest.test_case "remove_node drops ghost frames" `Quick
+            test_remove_node_drops_ghost_frames;
+          Alcotest.test_case "re-added address starts clean" `Quick
+            test_readd_starts_clean;
         ] );
       ( "flush point",
         [
