@@ -337,13 +337,16 @@ let bench_ablation_buggy_chord () =
           P2_runtime.Engine.run_for engine settle;
           let det = Core.Oscillation.install ~period:20. ~threshold:2 net in
           let victim = List.nth net.addrs (nodes / 2) in
-          for i = 0 to 5 do
-            let t0 = P2_runtime.Engine.now engine +. (float_of_int i *. 35.) in
-            P2_runtime.Engine.at engine ~time:t0 (fun () ->
-                P2_runtime.Engine.crash engine victim);
-            P2_runtime.Engine.at engine ~time:(t0 +. 20.) (fun () ->
-                P2_runtime.Engine.recover engine victim)
-          done;
+          let flaps =
+            List.init 6 (fun i ->
+                let t = float_of_int i *. 35. in
+                Harness.Fault_plan.
+                  [ { time = t; action = Crash victim };
+                    { time = t +. 20.; action = Recover victim } ])
+          in
+          Harness.Fault_plan.schedule engine (ref net)
+            ~start:(P2_runtime.Engine.now engine)
+            (Harness.Fault_plan.make ~horizon:220. (List.concat flaps));
           P2_runtime.Engine.run_for engine 220.;
           ( float_of_int (Core.Alarms.count det.oscill),
             float_of_int (Core.Alarms.count det.repeat) ))
@@ -683,14 +686,6 @@ let fresh_dir =
       (Filename.get_temp_dir_name ())
       (Fmt.str "p2bench_flight_%d_%d" (Unix.getpid ()) !n)
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 (* One traced Chord run per seed per arm; the spill arm writes the
    flight-recorder log and keeps only the shrunk in-RAM window. *)
 let forensics_arm ~spill ~log_root seed =
@@ -710,7 +705,7 @@ let bench_forensics () =
     "disk spill trades the tracer's in-RAM window for an on-disk log \
      replayable long after the fact (paper §3.4)";
   let log_root = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf log_root) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Framed.rm_rf log_root) @@ fun () ->
   let stat f points = Metrics.(mean (List.map f points), stddev (List.map f points)) in
   let in_ram =
     List.map (fun s -> fst (forensics_arm ~spill:false ~log_root s)) seeds
@@ -767,8 +762,8 @@ let bench_recovery check =
     "restoring hard state from the newest snapshot must beat a cold \
      rejoin through the landmark to ring convergence (docs/OPERATIONS.md)";
   let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let run arm = Harness.Recovery.measure ~deadline:60. ~dir arm in
+  Fun.protect ~finally:(fun () -> Framed.rm_rf dir) @@ fun () ->
+  let run arm = Harness.Recovery.measure ~dir arm in
   let ck = run Harness.Recovery.Checkpointed in
   let cold = run Harness.Recovery.Cold in
   let ticks r = Option.value r.Harness.Recovery.ticks_to_converge ~default:(-1) in

@@ -385,10 +385,35 @@ let apply_checkpoint engine dir interval =
         d)
     dir
 
-(* Engine node-management calls raise [Invalid_argument] on unknown
-   addresses; inside a scheduled callback that would abort the whole
-   simulation, so surface it as a CLI diagnostic instead. *)
-let or_cli_error f = try f () with Invalid_argument msg -> Fmt.epr "p2ql: %s@." msg
+(* The fault flags' one grammar, ADDR:TIME[:TIME2]: each given flag's
+   times map, in order, onto its action constructors, as one fault
+   plan. A malformed spec, or an address outside the ring, is reported
+   on stderr and adds nothing. *)
+let fault_plan (net : Chord.network) ~duration flags =
+  let actions (flag, kinds, spec) =
+    match spec with
+    | None -> []
+    | Some spec -> (
+        let bad () =
+          Fmt.epr "bad %s spec %S (want ADDR:TIME%s)@." flag spec
+            (if List.length kinds > 1 then "[:TIME2]" else "");
+          []
+        in
+        match String.split_on_char ':' spec with
+        | addr :: (_ :: _ as times) when List.length times <= List.length kinds -> (
+            match List.map float_of_string times with
+            | exception Failure _ -> bad ()
+            | _ when not (List.mem addr net.addrs) ->
+                Fmt.epr "p2ql: %s: unknown node %s@." flag addr;
+                []
+            | times ->
+                List.mapi
+                  (fun i time ->
+                    { Harness.Fault_plan.time; action = List.nth kinds i addr })
+                  times)
+        | _ -> bad ())
+  in
+  Harness.Fault_plan.make ~horizon:duration (List.concat_map actions flags)
 
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -550,34 +575,27 @@ let chord_cmd =
       Option.map (fun rate -> Core.Snapshot.install ~t_snap:(1. /. rate) net)
         snapshot_rate
     in
-    (match crash with
-    | Some spec -> (
-        match String.split_on_char ':' spec with
-        | [ addr; time ] ->
-            P2_runtime.Engine.at engine ~time:(float_of_string time) (fun () ->
-                Fmt.pr "[%s] crashing %s@." time addr;
-                or_cli_error (fun () -> P2_runtime.Engine.crash engine addr))
-        | _ -> Fmt.epr "bad --crash spec %S (want ADDR:TIME)@." spec)
-    | None -> ());
-    (match restart with
-    | Some spec -> (
-        match String.split_on_char ':' spec with
-        | [ addr; time ] ->
-            P2_runtime.Engine.at engine ~time:(float_of_string time) (fun () ->
-                or_cli_error (fun () ->
-                    let o = P2_runtime.Engine.restart engine addr in
-                    match o.P2_runtime.Engine.recovered_from with
-                    | `Checkpoint (path, stamp) ->
-                        Fmt.pr
-                          "[%s] restarted %s from %s (stamp %g, %d row(s))@."
-                          time addr (Filename.basename path) stamp
-                          o.P2_runtime.Engine.restored_rows
-                    | `Cold ->
-                        Fmt.pr "[%s] restarted %s cold; rejoining via landmark@."
-                          time addr;
-                        Chord.rejoin net addr))
-        | _ -> Fmt.epr "bad --restart spec %S (want ADDR:TIME)@." spec)
-    | None -> ());
+    let plan =
+      fault_plan net ~duration
+        Harness.Fault_plan.
+          [ ("--crash", [ (fun a -> Crash a) ], crash);
+            ("--restart", [ (fun a -> Restart a) ], restart) ]
+    in
+    List.iter
+      (function
+        | { Harness.Fault_plan.time; action = Crash addr } ->
+            P2_runtime.Engine.at engine ~time (fun () ->
+                Fmt.pr "[%g] crashing %s@." time addr)
+        | _ -> ())
+      plan.actions;
+    Harness.Fault_plan.schedule engine (ref net) ~start:0. plan
+      ~on_restart:(fun addr o ->
+        let time = P2_runtime.Engine.now engine in
+        match o.P2_runtime.Engine.recovered_from with
+        | `Checkpoint (path, stamp) ->
+            Fmt.pr "[%g] restarted %s from %s (stamp %g, %d row(s))@." time addr
+              (Filename.basename path) stamp o.P2_runtime.Engine.restored_rows
+        | `Cold -> Fmt.pr "[%g] restarted %s cold; rejoining via landmark@." time addr);
     P2_runtime.Engine.run_for engine duration;
     Fmt.pr "ring: %a@." Fmt.(list ~sep:(any " -> ") string) (Chord.ring_walk net);
     Fmt.pr "ring correct: %b@." (Chord.ring_correct net);
@@ -1154,24 +1172,11 @@ let peers_cmd =
   let action n seed duration loss crash =
     let engine = P2_runtime.Engine.create ~seed ~loss_rate:loss () in
     let net = Chord.boot engine n in
-    (match crash with
-    | Some spec -> (
-        let at time f =
-          P2_runtime.Engine.at engine ~time:(float_of_string time) f
-        in
-        match String.split_on_char ':' spec with
-        | [ addr; t_crash ] ->
-            at t_crash (fun () ->
-                or_cli_error (fun () -> P2_runtime.Engine.crash engine addr))
-        | [ addr; t_crash; t_recover ] ->
-            at t_crash (fun () ->
-                or_cli_error (fun () -> P2_runtime.Engine.crash engine addr));
-            at t_recover (fun () ->
-                or_cli_error (fun () -> P2_runtime.Engine.recover engine addr))
-        | _ -> Fmt.epr "bad --crash spec %S (want ADDR:TIME[:TIME2])@." spec)
-    | None -> ());
+    Harness.Fault_plan.schedule engine (ref net) ~start:0.
+      (fault_plan net ~duration
+         Harness.Fault_plan.
+           [ ("--crash", [ (fun a -> Crash a); (fun a -> Recover a) ], crash) ]);
     P2_runtime.Engine.run_for engine duration;
-    ignore net;
     List.iter
       (fun addr ->
         let tr = P2_runtime.Engine.transport engine addr in

@@ -247,6 +247,22 @@ type network = {
   params : params;
 }
 
+(* [retries] [startJoin] injections into [node], 5 s apart from [t0].
+   Each fires only while [node] is still the one at its address: a
+   node that leaves, or restarts, takes its pending retries with it,
+   and a successor under the same address arms its own. *)
+let arm_joins engine node ~t0 retries =
+  let addr = P2_runtime.Node.addr node in
+  for r = 0 to retries - 1 do
+    P2_runtime.Engine.at engine
+      ~time:(t0 +. (float_of_int r *. 5.))
+      (fun () ->
+        match P2_runtime.Engine.node_opt engine addr with
+        | Some n when n == node ->
+            ignore @@ P2_runtime.Engine.inject engine addr "startJoin" []
+        | _ -> ())
+  done
+
 (** Boot an [n]-node Chord ring (paper §4: 21 nodes, staggered start).
     Nodes are named [<prefix>0 .. <prefix>n-1]; node 0 is the landmark.
     [join_spacing] is the delay between consecutive joins. *)
@@ -255,21 +271,20 @@ let boot ?(params = default_params) ?(prefix = "n") ?(join_spacing = 0.5)
   let addrs = List.init n (fun i -> Fmt.str "%s%d" prefix i) in
   let landmark = List.hd addrs in
   let text = program params in
-  List.iter
-    (fun addr ->
-      ignore (P2_runtime.Engine.add_node engine addr);
-      P2_runtime.Engine.install engine addr text;
-      P2_runtime.Engine.install engine addr (boot_facts ~addr ~landmark))
-    addrs;
+  let nodes =
+    List.map
+      (fun addr ->
+        let node = P2_runtime.Engine.add_node engine addr in
+        P2_runtime.Engine.install engine addr text;
+        P2_runtime.Engine.install engine addr (boot_facts ~addr ~landmark);
+        node)
+      addrs
+  in
   List.iteri
-    (fun i addr ->
+    (fun i node ->
       let t0 = P2_runtime.Engine.now engine +. (float_of_int i *. join_spacing) in
-      for r = 0 to join_retries - 1 do
-        P2_runtime.Engine.at engine
-          ~time:(t0 +. (float_of_int r *. 5.))
-          (fun () -> ignore @@ P2_runtime.Engine.inject engine addr "startJoin" [])
-      done)
-    addrs;
+      arm_joins engine node ~t0 join_retries)
+    nodes;
   { engine; addrs; landmark; params }
 
 (** Churn entry points (used by the fault-injection harness). *)
@@ -280,34 +295,20 @@ let boot ?(params = default_params) ?(prefix = "n") ?(join_spacing = 0.5)
     idempotent — each merely adds successor candidates). *)
 let join ?(join_retries = 3) net addr =
   if List.mem addr net.addrs then invalid_arg (Fmt.str "Chord.join: duplicate node %s" addr);
-  ignore (P2_runtime.Engine.add_node net.engine addr);
+  let node = P2_runtime.Engine.add_node net.engine addr in
   P2_runtime.Engine.install net.engine addr (program net.params);
   P2_runtime.Engine.install net.engine addr (boot_facts ~addr ~landmark:net.landmark);
-  let t0 = P2_runtime.Engine.now net.engine in
-  for r = 0 to join_retries - 1 do
-    P2_runtime.Engine.at net.engine
-      ~time:(t0 +. (float_of_int r *. 5.))
-      (fun () ->
-        (* the node may already have left again (churn) *)
-        if Option.is_some (P2_runtime.Engine.node_opt net.engine addr) then
-          ignore @@ P2_runtime.Engine.inject net.engine addr "startJoin" [])
-  done;
+  arm_joins net.engine node ~t0:(P2_runtime.Engine.now net.engine) join_retries;
   { net with addrs = net.addrs @ [ addr ] }
 
 (** Re-seed the join protocol after a cold restart (see chord.mli). *)
 let rejoin ?(join_retries = 3) net addr =
   if not (List.mem addr net.addrs) then
     invalid_arg (Fmt.str "Chord.rejoin: unknown node %s" addr);
-  if addr <> net.landmark then begin
-    let t0 = P2_runtime.Engine.now net.engine in
-    for r = 0 to join_retries - 1 do
-      P2_runtime.Engine.at net.engine
-        ~time:(t0 +. (float_of_int r *. 5.))
-        (fun () ->
-          if Option.is_some (P2_runtime.Engine.node_opt net.engine addr) then
-            ignore @@ P2_runtime.Engine.inject net.engine addr "startJoin" [])
-    done
-  end
+  if addr <> net.landmark then
+    arm_joins net.engine
+      (P2_runtime.Engine.node net.engine addr)
+      ~t0:(P2_runtime.Engine.now net.engine) join_retries
 
 (** Remove a node permanently (fail-stop leave: Chord has no graceful
     departure, neighbors detect the silence via pings). *)

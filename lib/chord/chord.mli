@@ -51,7 +51,11 @@ val boot :
   int ->
   network
 
-(** Churn entry points (used by the fault-injection harness). *)
+(** Churn entry points (used by the fault-injection harness). The
+    [startJoin] retries that {!boot}, {!join} and {!rejoin} arm belong
+    to the node they were armed for: they stop when that node leaves
+    or restarts, so a later node under the same address never inherits
+    them. *)
 
 (** Add one node to a running ring and join it through the landmark;
     [startJoin] is injected [join_retries] times, 5 s apart, to survive

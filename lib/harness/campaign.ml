@@ -53,24 +53,6 @@ type run = {
 
 let failed r = match r.outcome with Pass -> false | Fail _ -> true
 
-(* The planted bug: pin [addr]'s bestSucc to [target] with a
-   delta-triggered pump — any correction (stabilization, successor
-   repair) re-fires the rule in the same engine event, so the
-   corruption is visible at every oracle sample. [k] uniquifies the
-   table / rule names across multiple plants in one run. *)
-let apply_corruption engine addr target k =
-  let s = Fmt.str "h%d" k in
-  Engine.install engine addr
-    (Fmt.str
-       {|materialize(corruptTarget%s, infinity, 1, keys(1)).
-ctseed%s corruptTarget%s@N(I, A) :- corruptEv%s@N(I, A).
-ctpump%s bestSucc@N(I, A2) :- bestSucc@N(I0, A0), corruptTarget%s@N(I, A2), A0 != A2.|}
-       s s s s s s);
-  ignore
-  @@ Engine.inject engine addr
-       (Fmt.str "corruptEv%s" s)
-       [ Overlog.Value.VId (Chord.id_of_addr target); Overlog.Value.VAddr target ]
-
 let run_plan cfg ~seed ?(intensity = 0) ?after_settle ?on_done (plan : Fault_plan.t) =
   let engine =
     Engine.create ~seed ~loss_rate:cfg.loss_rate ~reliable:cfg.reliable ()
@@ -107,85 +89,7 @@ let run_plan cfg ~seed ?(intensity = 0) ?after_settle ?on_done (plan : Fault_pla
   let network = Engine.network engine in
   let tx0 = Sim.Network.tx_count network in
   let drop0 = Sim.Network.drop_count network in
-  let corrupt_k = ref 0 in
-  (* Link cuts applied per partition group, so the matching heal undoes
-     exactly what the cut did even if membership changed in between. *)
-  let partition_cuts : (string, (string * string) list) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let group_key g = String.concat "," (List.sort compare g) in
-  (* Every action is guarded so a shrunk plan stays executable when its
-     counterpart was removed (a Recover without the Crash, a Leave
-     without the Join, ...). *)
-  let apply = function
-    | Fault_plan.Crash a ->
-        if List.mem a !net.Chord.addrs then Engine.crash engine a
-    | Fault_plan.Recover a ->
-        if List.mem a !net.Chord.addrs && Engine.is_crashed engine a then
-          Engine.recover engine a
-    | Fault_plan.Cut_link (s, d) -> Engine.cut_link engine ~src:s ~dst:d
-    | Fault_plan.Heal_link (s, d) -> Engine.heal_link engine ~src:s ~dst:d
-    | Fault_plan.Set_loss r -> Engine.set_loss_rate engine r
-    | Fault_plan.Set_latency (b, j) -> Engine.set_latency engine ~base:b ~jitter:j
-    | Fault_plan.Join a ->
-        if not (List.mem a !net.Chord.addrs) then begin
-          net := Chord.join !net a;
-          Oracle.on_join oracle a
-        end
-    | Fault_plan.Leave a ->
-        if List.mem a !net.Chord.addrs && a <> !net.Chord.landmark then
-          net := Chord.leave !net a
-    | Fault_plan.Corrupt_succ (n, target) ->
-        if List.mem n !net.Chord.addrs && not (Engine.is_crashed engine n) then begin
-          incr corrupt_k;
-          apply_corruption engine n target !corrupt_k
-        end
-    | Fault_plan.Partition group ->
-        let members = List.filter (fun a -> List.mem a !net.Chord.addrs) group in
-        let rest =
-          List.filter (fun a -> not (List.mem a members)) !net.Chord.addrs
-        in
-        if members <> [] && rest <> [] then begin
-          let cuts =
-            List.concat_map (fun m -> List.map (fun r -> (m, r)) rest) members
-          in
-          List.iter
-            (fun (m, r) ->
-              Engine.cut_link engine ~src:m ~dst:r;
-              Engine.cut_link engine ~src:r ~dst:m)
-            cuts;
-          Hashtbl.replace partition_cuts (group_key group) cuts
-        end
-    | Fault_plan.Heal_partition group -> (
-        match Hashtbl.find_opt partition_cuts (group_key group) with
-        | Some cuts ->
-            List.iter
-              (fun (m, r) ->
-                Engine.heal_link engine ~src:m ~dst:r;
-                Engine.heal_link engine ~src:r ~dst:m)
-              cuts;
-            Hashtbl.remove partition_cuts (group_key group)
-        | None -> ())
-    | Fault_plan.Restart a ->
-        if
-          List.mem a !net.Chord.addrs
-          && a <> !net.Chord.landmark
-          && Option.is_some (Engine.node_opt engine a)
-        then begin
-          let outcome = Engine.restart engine a in
-          (* A cold reboot has programs and boot facts back (the engine
-             replays them) but no successor state, and Chord's j6
-             self-heal needs an existing bestSucc row — re-seed the
-             join protocol explicitly. *)
-          match outcome.Engine.recovered_from with
-          | `Cold -> Chord.rejoin !net a
-          | `Checkpoint _ -> ()
-        end
-  in
-  List.iter
-    (fun { Fault_plan.time; action } ->
-      Engine.at engine ~time:(t0 +. time) (fun () -> apply action))
-    plan.Fault_plan.actions;
+  Fault_plan.schedule ~on_join:(Oracle.on_join oracle) engine net ~start:t0 plan;
   Engine.run_until engine (t0 +. plan.Fault_plan.horizon +. cfg.cooldown);
   let violations, ostats = Oracle.finalize oracle in
   (* After the verdict is sealed: a stats dump here cannot perturb the

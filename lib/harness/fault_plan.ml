@@ -1,10 +1,10 @@
 (** Timed fault schedules for deterministic injection campaigns.
 
-    Everything here is a pure function of the RNG stream handed in, so
-    a campaign run is reproducible from its seed alone. The text form
-    is the replay artifact the shrinker prints: it must round-trip
-    exactly (times are printed with enough digits to be re-read
-    bit-for-bit). *)
+    Generation is a pure function of the RNG stream handed in, so a
+    campaign run is reproducible from its seed alone; the interpreter
+    adds no randomness of its own. The text form is the replay
+    artifact the shrinker prints: it must round-trip exactly (times
+    are printed with enough digits to be re-read bit-for-bit). *)
 
 type action =
   | Crash of string
@@ -24,12 +24,12 @@ type timed = { time : float; action : action }
 
 type t = { horizon : float; actions : timed list }
 
-let empty horizon = { horizon; actions = [] }
+let make ~horizon actions =
+  { horizon; actions = List.stable_sort (fun a b -> Float.compare a.time b.time) actions }
+let empty horizon = make ~horizon []
 let length p = List.length p.actions
 
-let sort_actions = List.stable_sort (fun a b -> Float.compare a.time b.time)
-
-let add p ~time action = { p with actions = sort_actions ({ time; action } :: p.actions) }
+let add p ~time action = make ~horizon:p.horizon ({ time; action } :: p.actions)
 
 let remove p i = { p with actions = List.filteri (fun j _ -> j <> i) p.actions }
 
@@ -48,7 +48,7 @@ let scale_time p i =
         let actions =
           List.mapi (fun j b -> if j = i then { b with time = t' } else b) p.actions
         in
-        { p with actions = sort_actions actions }
+        make ~horizon:p.horizon actions
 
 (* --- generation --- *)
 
@@ -116,7 +116,7 @@ let generate ?(extended = false) ~rng ~addrs ~horizon ~intensity () =
           push t (Crash v);
           push (repair_after t) (Restart v)
     done;
-    { horizon; actions = sort_actions (List.rev !acts) }
+    make ~horizon (List.rev !acts)
   end
 
 let plant_corruption ~rng ~addrs ~time plan =
@@ -139,6 +139,100 @@ let plant_corruption ~rng ~addrs ~time plan =
     |> Option.get
   in
   add plan ~time (Corrupt_succ (victim, target))
+
+(* --- interpretation --- *)
+
+module Engine = P2_runtime.Engine
+
+(* The planted bug: pin [addr]'s bestSucc to [target] with a
+   delta-triggered pump — any correction (stabilization, successor
+   repair) re-fires the rule in the same engine event, so the
+   corruption is visible at every oracle sample. [k] uniquifies the
+   table / rule names across multiple plants in one run. *)
+let apply_corruption engine addr target k =
+  let s = Fmt.str "h%d" k in
+  Engine.install engine addr
+    (Fmt.str
+       {|materialize(corruptTarget%s, infinity, 1, keys(1)).
+ctseed%s corruptTarget%s@N(I, A) :- corruptEv%s@N(I, A).
+ctpump%s bestSucc@N(I, A2) :- bestSucc@N(I0, A0), corruptTarget%s@N(I, A2), A0 != A2.|}
+       s s s s s s);
+  ignore
+  @@ Engine.inject engine addr
+       (Fmt.str "corruptEv%s" s)
+       [ Overlog.Value.VId (Chord.id_of_addr target); Overlog.Value.VAddr target ]
+
+let schedule ?(on_join = ignore) ?(on_restart = fun _ _ -> ()) engine net ~start
+    plan =
+  let member a = List.mem a !net.Chord.addrs in
+  let corrupt_k = ref 0 in
+  (* Link cuts applied per partition group, so the matching heal undoes
+     exactly what the cut did even if membership changed in between. *)
+  let partition_cuts : (string, (string * string) list) Hashtbl.t =
+    Hashtbl.create 4
+  in
+  let group_key g = String.concat "," (List.sort compare g) in
+  (* Every action is guarded so a shrunk plan stays executable when its
+     counterpart was removed (a Recover without the Crash, a Leave
+     without the Join, ...). *)
+  let apply = function
+    | Crash a -> if member a then Engine.crash engine a
+    | Recover a ->
+        if member a && Engine.is_crashed engine a then Engine.recover engine a
+    | Cut_link (s, d) -> Engine.cut_link engine ~src:s ~dst:d
+    | Heal_link (s, d) -> Engine.heal_link engine ~src:s ~dst:d
+    | Set_loss r -> Engine.set_loss_rate engine r
+    | Set_latency (b, j) -> Engine.set_latency engine ~base:b ~jitter:j
+    | Join a ->
+        if not (member a) then begin
+          net := Chord.join !net a;
+          on_join a
+        end
+    | Leave a -> if member a && a <> !net.Chord.landmark then net := Chord.leave !net a
+    | Corrupt_succ (n, target) ->
+        if member n && not (Engine.is_crashed engine n) then begin
+          incr corrupt_k;
+          apply_corruption engine n target !corrupt_k
+        end
+    | Partition group ->
+        let members = List.filter member group in
+        let rest = List.filter (fun a -> not (List.mem a members)) !net.Chord.addrs in
+        if members <> [] && rest <> [] then begin
+          let cuts = List.concat_map (fun m -> List.map (fun r -> (m, r)) rest) members in
+          List.iter
+            (fun (m, r) ->
+              Engine.cut_link engine ~src:m ~dst:r;
+              Engine.cut_link engine ~src:r ~dst:m)
+            cuts;
+          Hashtbl.replace partition_cuts (group_key group) cuts
+        end
+    | Heal_partition group -> (
+        match Hashtbl.find_opt partition_cuts (group_key group) with
+        | Some cuts ->
+            List.iter
+              (fun (m, r) ->
+                Engine.heal_link engine ~src:m ~dst:r;
+                Engine.heal_link engine ~src:r ~dst:m)
+              cuts;
+            Hashtbl.remove partition_cuts (group_key group)
+        | None -> ())
+    | Restart a ->
+        if member a && Option.is_some (Engine.node_opt engine a) then begin
+          let outcome = Engine.restart engine a in
+          on_restart a outcome;
+          (* A cold reboot has programs and boot facts back (the engine
+             replays them) but no successor state, and Chord's j6
+             self-heal needs an existing bestSucc row — re-seed the
+             join protocol explicitly. *)
+          match outcome.Engine.recovered_from with
+          | `Cold -> Chord.rejoin !net a
+          | `Checkpoint _ -> ()
+        end
+  in
+  List.iter
+    (fun { time; action } ->
+      Engine.at engine ~time:(start +. time) (fun () -> apply action))
+    plan.actions
 
 (* --- text form --- *)
 
@@ -201,4 +295,4 @@ let of_string text =
   in
   match horizon with
   | None -> invalid_arg "Fault_plan.of_string: missing horizon line"
-  | Some horizon -> { horizon; actions = sort_actions (List.rev acts) }
+  | Some horizon -> make ~horizon (List.rev acts)

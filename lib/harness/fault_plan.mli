@@ -1,10 +1,13 @@
-(** Timed fault schedules for deterministic injection campaigns.
+(** Timed fault schedules for deterministic injection campaigns, and
+    the one interpreter that applies them.
 
     A plan is a list of (time, action) pairs relative to the start of
     the fault window, plus the window length ([horizon]). Plans are
     generated from a {!Sim.Rng} stream so a campaign is a pure function
     of its seed, and serialize to a line-oriented text format that
-    replays a shrunk schedule bit-for-bit. *)
+    replays a shrunk schedule bit-for-bit. {!schedule} turns a plan
+    into engine calls; every caller that injects faults goes through
+    it. *)
 
 type action =
   | Crash of string
@@ -35,10 +38,15 @@ type timed = { time : float; action : action }
 type t = { horizon : float; actions : timed list }
     (** [actions] is sorted by time (stable). *)
 
+(** A plan over [horizon] holding [actions], sorted stably by time:
+    actions at equal times keep their list order. *)
+val make : horizon:float -> timed list -> t
+
 val empty : float -> t
 val length : t -> int
 
-(** Insert an action, keeping the schedule sorted. *)
+(** Insert an action, keeping the schedule sorted (before the actions
+    already at [time]). *)
 val add : t -> time:float -> action -> t
 
 (** Drop the [i]-th action (schedule order). *)
@@ -73,6 +81,28 @@ val generate :
     ring member) gets its best successor pinned to the live node
     farthest from it on the ring. *)
 val plant_corruption : rng:Sim.Rng.t -> addrs:string list -> time:float -> t -> t
+
+(** The one fault interpreter: arm every action of [plan] on [engine]
+    at [start +. time]. Campaigns, the recovery oracle, [p2ql chord]
+    and [p2ql peers] and the bench all inject faults through it.
+    [net] is the ring the actions act on; [Join] and [Leave] replace
+    it. Every action is guarded so a shrunk or hand-written plan stays
+    executable: actions naming an address outside the ring are
+    skipped, the landmark never leaves, [Recover] needs a
+    crashed node, [Corrupt_succ] a live one, and [Heal_partition]
+    undoes exactly the cuts of the matching [Partition] (none, if it
+    found nothing to cut). A [Restart] that found no intact snapshot
+    re-seeds the join protocol ({!Chord.rejoin}). [on_join] runs after
+    each applied [Join], [on_restart] with each [Restart]'s outcome.
+    The horizon is the caller's to honor. *)
+val schedule :
+  ?on_join:(string -> unit) ->
+  ?on_restart:(string -> P2_runtime.Engine.restart_outcome -> unit) ->
+  P2_runtime.Engine.t ->
+  Chord.network ref ->
+  start:float ->
+  t ->
+  unit
 
 val pp_action : action Fmt.t
 val pp : t Fmt.t

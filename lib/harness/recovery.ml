@@ -15,42 +15,40 @@ type result = {
   ckpt_snapshots : int;
 }
 
-(* Scenario timing, relative to the end of settle. The victim reboots
-   6 s after failing — inside its neighbors' 12 s suspicion window, the
-   regime durable state is for: nobody has purged it yet, so a
-   checkpointed reboot that restores its successor/predecessor
+(* The scenario, relative to the end of settle: the victim crashes at
+   +5 s and reboots at +11 s — inside its neighbors' 12 s suspicion
+   window, the regime durable state is for: nobody has purged it yet,
+   so a checkpointed reboot that restores its successor/predecessor
    pointers makes the ring correct almost immediately, while a cold
    reboot holds a broken ring position until the join + successor
    gossip chain rebuilds bestSucc from nothing (its stale finger
    entries even stall the first join lookups: neighbors forward them
    to the reborn node, which cannot answer until it re-learns a
-   successor). A concurrent bipartition cuts two bystanders off and
-   heals after 3 s — short enough that post-heal ping refreshes land
-   before anyone's 12 s staleness threshold (a longer cut triggers
-   faultyNode declarations whose 30 s purge-block gates the global
-   ring walk identically in both arms, masking the differential) —
-   the crash+partition plan the acceptance oracle calls for,
-   stressing the walk without resetting either arm's clock. *)
-let crash_delay = 5.
-let restart_delay = 11.
-let heal_delay = 8.
+   successor). A concurrent bipartition cuts two bystanders off at
+   +5 s and heals at +8 s — short enough that post-heal ping
+   refreshes land before anyone's 12 s staleness threshold (a longer
+   cut triggers faultyNode declarations whose 30 s purge-block gates
+   the global ring walk identically in both arms, masking the
+   differential) — stressing the walk without resetting either arm's
+   clock. After the restart, ring_correct is probed every second for
+   60 s; the arm has converged at the first probe of a 3-probe
+   streak. *)
+let probe_period = 1.
+let stable_for = 3
+let deadline = 60.
 
-let measure ?(nodes = 21) ?(seed = 11) ?(shards = 1) ?(sanitize = false)
-    ?(settle = 120.) ?(probe_period = 1.) ?(stable_for = 3) ?(deadline = 400.)
-    ?(checkpoint_interval = 10.) ~dir arm =
-  let engine = Engine.create ~seed () in
+let measure ?(shards = 1) ~dir arm =
+  let engine = Engine.create ~seed:11 () in
   Engine.set_shards engine shards;
-  if sanitize then Engine.set_sanitize engine true;
   (match arm with
   | Checkpointed ->
       Framed.rm_rf dir;
       Engine.set_checkpoint engine
-        ~config:
-          { Checkpoint.default_config with interval = checkpoint_interval }
+        ~config:{ Checkpoint.default_config with interval = 10. }
         dir
   | Cold -> ());
-  let net = Chord.boot engine nodes in
-  Engine.run_until engine settle;
+  let net = Chord.boot engine 21 in
+  Engine.run_until engine 120.;
   let t0 = Engine.now engine in
   (* The victim sits mid-list; the partition group is two non-landmark
      bystanders, cut off from everyone else while the victim is down. *)
@@ -60,43 +58,23 @@ let measure ?(nodes = 21) ?(seed = 11) ?(shards = 1) ?(sanitize = false)
     let others = List.filter (fun a -> a <> victim) non_landmark in
     [ List.nth others 1; List.nth others (List.length others - 2) ]
   in
-  let rest =
-    List.filter (fun a -> not (List.mem a group)) net.Chord.addrs
+  let restart_delay = 11. in
+  let plan =
+    Fault_plan.make ~horizon:(restart_delay +. deadline)
+      [
+        { time = 5.; action = Crash victim };
+        { time = 5.; action = Partition group };
+        { time = 8.; action = Heal_partition group };
+        { time = restart_delay; action = Restart victim };
+      ]
   in
-  let cut healed =
-    List.iter
-      (fun g ->
-        List.iter
-          (fun r ->
-            if healed then begin
-              Engine.heal_link engine ~src:g ~dst:r;
-              Engine.heal_link engine ~src:r ~dst:g
-            end
-            else begin
-              Engine.cut_link engine ~src:g ~dst:r;
-              Engine.cut_link engine ~src:r ~dst:g
-            end)
-          rest)
-      group
-  in
-  Engine.at engine ~time:(t0 +. crash_delay) (fun () ->
-      Engine.crash engine victim;
-      cut false);
   let recovered = ref false and restored = ref 0 in
-  let restart_at = t0 +. restart_delay in
-  Engine.at engine ~time:restart_at (fun () ->
-      let o = Engine.restart engine victim in
-      (match o.Engine.recovered_from with
-      | `Checkpoint _ -> recovered := true
-      | `Cold -> Chord.rejoin net victim);
+  Fault_plan.schedule engine (ref net) ~start:t0 plan ~on_restart:(fun _ o ->
+      recovered := o.Engine.recovered_from <> `Cold;
       restored := o.Engine.restored_rows);
-  Engine.at engine ~time:(t0 +. heal_delay) (fun () -> cut true);
-  (* Probe cadence: ring_correct sampled every [probe_period] after the
-     restart; converged at the first probe of a [stable_for]-long
-     streak. *)
+  let restart_at = t0 +. restart_delay in
   let tick = ref 0 and streak = ref 0 and converged = ref None in
-  let n_probes = int_of_float (deadline /. probe_period) in
-  for i = 1 to n_probes do
+  for i = 1 to int_of_float (deadline /. probe_period) do
     Engine.at engine
       ~time:(restart_at +. (float_of_int i *. probe_period))
       (fun () ->

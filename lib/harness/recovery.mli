@@ -1,20 +1,22 @@
 (** Recovery-time measurement: the differential experiment behind the
-    crash-restart acceptance criterion (ISSUE 10) and the bench's
-    [recovery] section.
+    crash-restart acceptance criterion and the bench's [recovery]
+    section.
 
     One [measure] call runs a complete seeded scenario on a fresh
-    engine: boot an [nodes]-ring, settle, crash a victim while
-    partitioning a bystander group (the ring must re-converge through
-    leftover damage, not a pristine network), heal the partition,
-    restart the victim, then probe {!Chord.ring_correct} on a fixed
-    cadence until it holds for [stable_for] consecutive probes.
+    engine (seed 11): boot a 21-node ring, settle for 120 s, then run
+    a four-action {!Fault_plan} through {!Fault_plan.schedule} — crash
+    a victim and partition two bystanders off at +5 s (the ring must
+    re-converge through leftover damage, not a pristine network), heal
+    the partition at +8 s, restart the victim at +11 s — and probe
+    {!Chord.ring_correct} every second for 60 s after the restart
+    until it holds for 3 consecutive probes.
 
-    The two arms differ only in whether durable checkpoints were
-    enabled before boot: [Checkpointed] restarts restore hard state
-    from the newest snapshot, [Cold] restarts rejoin through the
-    landmark. Everything else — seed, schedule, probe cadence — is
-    identical, so the tick counts are directly comparable, and the
-    oracle requirement is [Checkpointed] strictly fewer ticks than
+    The two arms differ only in whether durable checkpoints (every
+    10 s) were enabled before boot: [Checkpointed] restarts restore
+    hard state from the newest snapshot, [Cold] restarts rejoin
+    through the landmark. Everything else — seed, plan, probe cadence
+    — is identical, so the tick counts are directly comparable, and
+    the oracle requirement is [Checkpointed] strictly fewer ticks than
     [Cold]. *)
 
 type arm = Checkpointed | Cold
@@ -35,22 +37,10 @@ type result = {
   ckpt_snapshots : int;  (** snapshot files written across the run *)
 }
 
-(** Run one arm of the experiment. [dir] is the checkpoint root for
-    the [Checkpointed] arm (wiped first, so repeated measurements are
-    deterministic); the [Cold] arm never touches it. [deadline] is
-    the probe window length in virtual seconds after the restart. *)
-val measure :
-  ?nodes:int ->
-  ?seed:int ->
-  ?shards:int ->
-  ?sanitize:bool ->
-  ?settle:float ->
-  ?probe_period:float ->
-  ?stable_for:int ->
-  ?deadline:float ->
-  ?checkpoint_interval:float ->
-  dir:string ->
-  arm ->
-  result
+(** Run one arm of the experiment on [shards] shards (default 1).
+    [dir] is the checkpoint root for the [Checkpointed] arm (wiped
+    first, so repeated measurements are deterministic); the [Cold] arm
+    never touches it. *)
+val measure : ?shards:int -> dir:string -> arm -> result
 
 val pp_result : result Fmt.t

@@ -61,6 +61,7 @@ let rec equal v1 v2 =
      constant). *)
   | VInt a, VId b | VId a, VInt b -> a = b
   | VInt a, VFloat b | VFloat b, VInt a -> float_of_int a = b
+  | VId a, VFloat b | VFloat b, VId a -> float_of_int (Ring.norm a) = b
   (* Program-text constants are strings; runtime locations are
      addresses. They must compare equal for rules like
      [PAddr != "-"] to work. *)
@@ -81,6 +82,8 @@ let rec compare v1 v2 =
   | VId a, VInt b -> Stdlib.compare (Ring.norm a) b
   | VInt a, VFloat b -> Stdlib.compare (float_of_int a) b
   | VFloat a, VInt b -> Stdlib.compare a (float_of_int b)
+  | VId a, VFloat b -> Stdlib.compare (float_of_int (Ring.norm a)) b
+  | VFloat a, VId b -> Stdlib.compare a (float_of_int (Ring.norm b))
   | VStr a, VAddr b | VAddr a, VStr b -> String.compare a b
   | _ -> Stdlib.compare (tag v1) (tag v2)
 
@@ -172,10 +175,13 @@ let hash_values vs =
 
 (* Canonical key text: two values that are [equal] must map to the
    same string (primary-key identity in tables). Strings and addresses
-   share a representation; ints and ring ids share the numeric one. *)
+   share a representation; ints, ring ids and integral floats (within
+   ±2^53, where the float is exact) share the numeric one. *)
 let rec canonical_key = function
   | VInt i -> "n:" ^ string_of_int i
   | VId i -> "n:" ^ string_of_int (Ring.norm i)
+  | VFloat f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+      "n:" ^ string_of_int (int_of_float f)
   | VFloat f -> "f:" ^ string_of_float f
   | VStr s | VAddr s -> "s:" ^ s
   | VBool b -> if b then "b:1" else "b:0"

@@ -70,5 +70,6 @@ val hash_key : t -> int
 val hash_values : t list -> int
 
 (** Canonical key text: values that are {!equal} map to the same
-    string (used for primary-key identity in tables). *)
+    string (used for primary-key identity in tables). Ints, ring ids
+    and integral floats within ±2^53 share one numeric form. *)
 val canonical_key : t -> string

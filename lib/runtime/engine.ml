@@ -961,12 +961,12 @@ type restart_outcome = {
          replay (a program was changed between snapshot and restart) *)
 }
 
-let restart ?tracer_config ?trace t addr =
+let restart t addr =
   guard t "Engine.restart";
   let h = host t "restart" addr in
   retire t h;
   Sim.Network.recover t.network addr;
-  let node = (wire_node ?tracer_config ?trace t addr (Some h)).node in
+  let node = (wire_node t addr (Some h)).node in
   (* Replay the recorded configuration oldest-first — programs then
      host watchpoints — exactly as a restarted process re-reads its
      config from disk. Replays go straight to the node: they are

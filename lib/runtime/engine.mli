@@ -254,12 +254,7 @@ type restart_outcome = {
     delivery path, so delta strands fire and the recovery cascade
     starts immediately. Raises [Invalid_argument] for unknown
     addresses. *)
-val restart :
-  ?tracer_config:Dataflow.Tracer.config ->
-  ?trace:bool ->
-  t ->
-  string ->
-  restart_outcome
+val restart : t -> string -> restart_outcome
 val cut_link : t -> src:string -> dst:string -> unit
 val heal_link : t -> src:string -> dst:string -> unit
 

@@ -35,34 +35,18 @@
 
 open Overlog
 
-type config = {
-  window : int;  (** max unacked data frames in flight per peer *)
-  max_pending : int;  (** bounded per-peer queue behind the window *)
-  reorder_limit : int;  (** receiver's out-of-order buffer per peer *)
-  ack_delay : float;  (** standalone-ack delay (piggyback opportunity) *)
-  rto_base : float;  (** initial retransmission timeout *)
-  rto_max : float;  (** backoff cap *)
-  heartbeat_period : float;  (** probe interval for silent peers *)
-  suspect_after : int;  (** consecutive misses before suspect *)
-  dead_after : float;  (** silence before a suspect peer is dead *)
-  rate_window : float;  (** window for the retransmit-rate gauge *)
-  max_batch : int;  (** tuples per delta-batch frame when batching *)
-}
-
-let default_config =
-  {
-    window = 32;
-    max_pending = 128;
-    reorder_limit = 64;
-    ack_delay = 0.05;
-    rto_base = 0.25;
-    rto_max = 4.0;
-    heartbeat_period = 2.0;
-    suspect_after = 3;
-    dead_after = 10.0;
-    rate_window = 10.0;
-    max_batch = 64;
-  }
+(* Channel and failure-detector tuning, one value each. *)
+let window = 32  (* max unacked data frames in flight per peer *)
+let max_pending = 128  (* bounded per-peer queue behind the window *)
+let reorder_limit = 64  (* receiver's out-of-order buffer per peer *)
+let ack_delay = 0.05  (* standalone-ack delay (piggyback opportunity) *)
+let rto_base = 0.25  (* initial retransmission timeout *)
+let rto_max = 4.0  (* backoff cap *)
+let heartbeat_period = 2.0  (* probe interval for silent peers *)
+let suspect_after = 3  (* consecutive misses before suspect *)
+let dead_after = 10.0  (* silence before a suspect peer is dead *)
+let rate_window = 10.0  (* window for the retransmit-rate gauge *)
+let max_batch = 64  (* tuples per delta-batch frame when batching *)
 
 type status = Alive | Suspect | Dead
 
@@ -117,7 +101,6 @@ type peer_info = {
 
 type t = {
   addr : string;
-  cfg : config;
   rng : Sim.Rng.t;
   chans : chan Strtbl.t;
   mutable reliable : bool;
@@ -191,15 +174,15 @@ let chan t peer =
 let rotate_rate t =
   let now = t.now () in
   let cur = Metrics.Counter.value t.retransmits in
-  if now -. t.rate_mark >= 2. *. t.cfg.rate_window then begin
+  if now -. t.rate_mark >= 2. *. rate_window then begin
     t.rate_prev <- 0;
     t.rate_base <- cur;
     t.rate_mark <- now
   end
-  else if now -. t.rate_mark >= t.cfg.rate_window then begin
+  else if now -. t.rate_mark >= rate_window then begin
     t.rate_prev <- cur - t.rate_base;
     t.rate_base <- cur;
-    t.rate_mark <- t.rate_mark +. t.cfg.rate_window
+    t.rate_mark <- t.rate_mark +. rate_window
   end
 
 (** Retransmits in the busier of the last completed and the current
@@ -213,9 +196,9 @@ let retx_rate t =
 
 let update_status t (c : chan) =
   match c.status with
-  | Alive -> if c.misses >= t.cfg.suspect_after then c.status <- Suspect
+  | Alive -> if c.misses >= suspect_after then c.status <- Suspect
   | Suspect ->
-      if t.now () -. c.last_heard >= t.cfg.dead_after then c.status <- Dead
+      if t.now () -. c.last_heard >= dead_after then c.status <- Dead
   | Dead -> ()
 
 let miss t (c : chan) =
@@ -270,7 +253,7 @@ and on_retx_timer t c e deadline =
       miss t c;
       Metrics.Counter.incr t.retransmits;
       rotate_rate t;
-      e.rto <- Float.min (e.rto *. 2.) t.cfg.rto_max;
+      e.rto <- Float.min (e.rto *. 2.) rto_max;
       transmit t c e
     end
     else
@@ -279,10 +262,10 @@ and on_retx_timer t c e deadline =
       arm_retx t c e
 
 let promote t c =
-  while Queue.length c.unacked < t.cfg.window && not (Queue.is_empty c.pending) do
+  while Queue.length c.unacked < window && not (Queue.is_empty c.pending) do
     let items = Queue.pop c.pending in
     let e =
-      { seq = c.next_seq; items; rto = t.cfg.rto_base; deadline = infinity }
+      { seq = c.next_seq; items; rto = rto_base; deadline = infinity }
     in
     c.next_seq <- c.next_seq + 1;
     Queue.push e c.unacked;
@@ -327,15 +310,15 @@ let send_group t c items =
     Metrics.Counter.incr t.tx_frames;
     t.raw_send c.handle (encode_group t c items ~seq)
   end
-  else if Queue.length c.unacked < t.cfg.window then begin
+  else if Queue.length c.unacked < window then begin
     let e =
-      { seq = c.next_seq; items; rto = t.cfg.rto_base; deadline = infinity }
+      { seq = c.next_seq; items; rto = rto_base; deadline = infinity }
     in
     c.next_seq <- c.next_seq + 1;
     Queue.push e c.unacked;
     transmit t c e
   end
-  else if Queue.length c.pending < t.cfg.max_pending then
+  else if Queue.length c.pending < max_pending then
     Queue.push items c.pending
   else begin
     Metrics.Counter.incr t.sendq_drops;
@@ -353,7 +336,7 @@ let flush_buffer t c =
         if n = 0 || Queue.is_empty c.buffer then List.rev acc
         else take (n - 1) (Queue.pop c.buffer :: acc)
       in
-      send_group t c (take t.cfg.max_batch [])
+      send_group t c (take max_batch [])
     done
 
 (** Ship everything the coalescing buffers hold, peer by peer in the
@@ -388,7 +371,7 @@ let send t ~dst ~delete tuple =
 let schedule_ack t (c : chan) =
   if not c.ack_pending then begin
     c.ack_pending <- true;
-    t.schedule t.cfg.ack_delay (fun () ->
+    t.schedule ack_delay (fun () ->
         (* piggybacked (cleared) or channel forgotten -> stale *)
         if c.ack_pending && (not t.stopped) && c.live then begin
           c.ack_pending <- false;
@@ -464,7 +447,7 @@ let receive t ~src packet =
           (* gap: an earlier frame was lost (retransmission re-sends
              it); buffer this one unless it's already there *)
           if Hashtbl.mem c.reorder s then Metrics.Counter.incr t.rx_duplicates
-          else if Hashtbl.length c.reorder < t.cfg.reorder_limit then begin
+          else if Hashtbl.length c.reorder < reorder_limit then begin
             Hashtbl.replace c.reorder s (bytes, msgs);
             Metrics.Counter.incr t.rx_reordered
           end;
@@ -485,7 +468,7 @@ let rec heartbeat_tick t =
    else if t.reliable then
      Strtbl.iter
        (fun _ c ->
-         if t.now () -. c.last_heard >= t.cfg.heartbeat_period then begin
+         if t.now () -. c.last_heard >= heartbeat_period then begin
            (* the previous probe (or traffic) went unanswered *)
            miss t c;
            Metrics.Counter.incr t.tx_heartbeats;
@@ -494,17 +477,16 @@ let rec heartbeat_tick t =
            t.raw_send c.handle (Wire.encode_heartbeat ~ack:c.cum_ack)
          end)
        t.chans);
-  t.schedule t.cfg.heartbeat_period (fun () -> heartbeat_tick t)
+  t.schedule heartbeat_period (fun () -> heartbeat_tick t)
   end
 
 (* --- construction --- *)
 
-let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~on_dirty
+let create ~addr ~rng ~now ~schedule ~raw_send ~on_dirty
     ~active () =
   let t =
     {
       addr;
-      cfg = config;
       rng;
       chans = Strtbl.create 8;
       reliable = true;
@@ -535,7 +517,7 @@ let create ~addr ?(config = default_config) ~rng ~now ~schedule ~raw_send ~on_di
   in
   (* stagger the first tick so co-created transports don't all probe
      on the same instant *)
-  schedule (config.heartbeat_period *. (1. +. Sim.Rng.float rng)) (fun () ->
+  schedule (heartbeat_period *. (1. +. Sim.Rng.float rng)) (fun () ->
       heartbeat_tick t);
   t
 

@@ -6,26 +6,10 @@
     heartbeat-driven peer failure detector reflected into the
     [p2PeerStatus] catalog table. *)
 
-type config = {
-  window : int;  (** max unacked data frames in flight per peer *)
-  max_pending : int;  (** bounded per-peer queue behind the window *)
-  reorder_limit : int;  (** receiver's out-of-order buffer per peer *)
-  ack_delay : float;  (** standalone-ack delay (piggyback opportunity) *)
-  rto_base : float;  (** initial retransmission timeout *)
-  rto_max : float;  (** backoff cap *)
-  heartbeat_period : float;  (** probe interval for silent peers *)
-  suspect_after : int;  (** consecutive misses before suspect *)
-  dead_after : float;  (** silence before a suspect peer is dead *)
-  rate_window : float;  (** window for the retransmit-rate gauge *)
-  max_batch : int;  (** tuples per delta-batch frame when batching *)
-}
-
-val default_config : config
-
-(** Failure-detector verdict for a peer: [Alive] → [Suspect] after
-    [suspect_after] consecutive misses (unanswered heartbeats or
-    retransmissions) → [Dead] after [dead_after] seconds of silence;
-    any frame from the peer restores [Alive]. *)
+(** Failure-detector verdict for a peer: [Alive] → [Suspect] after 3
+    consecutive misses (unanswered heartbeats, sent every 2 s, or
+    retransmissions) → [Dead] after 10 s of silence; any frame from
+    the peer restores [Alive]. *)
 type status = Alive | Suspect | Dead
 
 val status_name : status -> string
@@ -54,7 +38,6 @@ type t
     Also schedules the recurring heartbeat tick. *)
 val create :
   addr:string ->
-  ?config:config ->
   rng:Sim.Rng.t ->
   now:(unit -> float) ->
   schedule:(float -> (unit -> unit) -> unit) ->
@@ -79,9 +62,9 @@ val set_reliable : t -> bool -> unit
 
 (** Delta batching (default on): tuples shipped to the same peer
     between two {!flush} calls coalesce into a single delta-batch frame
-    occupying one sequence number, capped at [max_batch] tuples per
-    frame; the receiver unbatches in item order, so delivery semantics
-    are unchanged. Works in both reliable and fire-and-forget modes.
+    occupying one sequence number, capped at 64 tuples per frame; the
+    receiver unbatches in item order, so delivery semantics are
+    unchanged. Works in both reliable and fire-and-forget modes.
     Off, every tuple leaves at once in its own frame. *)
 val batching : t -> bool
 
@@ -98,8 +81,8 @@ val stop : t -> unit
 val send : t -> dst:string -> delete:bool -> Overlog.Tuple.t -> unit
 
 (** Empty the coalescing buffers: each peer's buffered tuples leave in
-    frames of at most [max_batch] tuples, peers in the order they were
-    first sent to. The owner calls it when the event it is handling
+    frames of at most 64 tuples, peers in the order they were first
+    sent to. The owner calls it when the event it is handling
     finishes ([Engine] does so for every event and host entry point). *)
 val flush : t -> unit
 

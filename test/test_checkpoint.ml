@@ -16,15 +16,7 @@ let tmpdir =
         (Filename.get_temp_dir_name ())
         (Fmt.str "p2ck-test-%d-%d" (Unix.getpid ()) !n)
     in
-    let rec rm path =
-      match Unix.lstat path with
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-      | { Unix.st_kind = Unix.S_DIR; _ } ->
-          Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-          (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    in
-    rm d;
+    Framed.rm_rf d;
     d
 
 let tuple name fields = Tuple.make name fields

@@ -175,6 +175,21 @@ let test_join_leave_churn () =
     (Invalid_argument (Fmt.str "Chord.join: duplicate node %s" net.Chord.landmark))
     (fun () -> ignore (Chord.join net net.Chord.landmark))
 
+(* Join retries belong to the node they were armed for: a node that
+   leaves and re-joins under the same address gets its own three
+   [startJoin] injections, not the departed node's leftovers too. *)
+let test_rejoin_retries_own_node () =
+  let engine, net = boot ~seed:1 ~n:4 ~settle:60. () in
+  let net = Chord.join net "j1" in
+  P2_runtime.Engine.run_until engine 61.;
+  let net = Chord.leave net "j1" in
+  P2_runtime.Engine.run_until engine 62.;
+  ignore (Chord.join net "j1");
+  let starts = ref 0 in
+  P2_runtime.Engine.watch engine "j1" "startJoin" (fun _ -> incr starts);
+  P2_runtime.Engine.run_until engine 100.;
+  Alcotest.(check int) "startJoin injections on the re-joined j1" 3 !starts
+
 let test_ids_deterministic () =
   Alcotest.(check int) "id stable" (Chord.id_of_addr "n3") (Chord.id_of_addr "n3");
   Alcotest.(check bool) "ids differ" true
@@ -206,5 +221,7 @@ let () =
           Alcotest.test_case "late join" `Slow test_late_join;
           Alcotest.test_case "crash and recover" `Slow test_crash_and_recover;
           Alcotest.test_case "join/leave churn" `Slow test_join_leave_churn;
+          Alcotest.test_case "re-join keeps only its own retries" `Slow
+            test_rejoin_retries_own_node;
         ] );
     ]

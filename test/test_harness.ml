@@ -201,6 +201,29 @@ let test_campaign_golden () =
   let r = C.run_seed cfg ~seed:1 ~intensity:1 () in
   Alcotest.(check string) "report line" golden_cell (Fmt.str "%a" C.pp_run r)
 
+(* The extended cell whose plan exercises join, partition,
+   heal-partition, loss, cut, crash, heal and restart — every kind of
+   action a generated plan applies through the interpreter — pinned
+   whole like the seed-1 cell. *)
+let extended_cell =
+  "seed=8    intensity=3 actions=9  PASS tx=8917   drop=234   \
+   unhealthy=32/106 alarms=11  probes=13/14 wrong=0"
+
+let test_extended_golden () =
+  let cfg = { cfg with C.extended_faults = true } in
+  let kind { F.action; _ } =
+    List.hd (String.split_on_char ' ' (Fmt.str "%a" F.pp_action action))
+  in
+  let kinds =
+    List.sort_uniq compare
+      (List.map kind (C.plan_of_seed cfg ~seed:8 ~intensity:3).F.actions)
+  in
+  Alcotest.(check (list string)) "action kinds"
+    [ "crash"; "cut"; "heal"; "heal-partition"; "join"; "loss"; "partition"; "restart" ]
+    kinds;
+  let r = C.run_seed cfg ~seed:8 ~intensity:3 () in
+  Alcotest.(check string) "report line" extended_cell (Fmt.str "%a" C.pp_run r)
+
 let test_smoke_sweep () =
   let runs = C.sweep cfg ~seeds:[ 1; 2 ] ~intensities:[ 1 ] () in
   Alcotest.(check int) "sweep covers the grid" 2 (List.length runs);
@@ -257,6 +280,8 @@ let () =
           Alcotest.test_case "smoke sweep" `Slow test_smoke_sweep;
           Alcotest.test_case "seed-1 cell matches pinned golden" `Slow
             test_campaign_golden;
+          Alcotest.test_case "extended seed-8 cell matches pinned golden" `Slow
+            test_extended_golden;
           Alcotest.test_case "extended sweep with checkpoints" `Slow
             test_extended_campaign_passes;
           Alcotest.test_case "planted corruption caught, shrunk" `Slow

@@ -12,7 +12,7 @@ let dir suffix =
     (Fmt.str "p2rec-test-%d-%s" (Unix.getpid ()) suffix)
 
 let measure ?shards arm suffix =
-  R.measure ?shards ~nodes:21 ~seed:11 ~deadline:60. ~dir:(dir suffix) arm
+  R.measure ?shards ~dir:(dir suffix) arm
 
 let test_checkpointed_strictly_faster () =
   let ck = measure R.Checkpointed "ck" in
@@ -25,6 +25,11 @@ let test_checkpointed_strictly_faster () =
     (cold.R.restored_rows = 0 && not cold.R.recovered_from_checkpoint);
   Alcotest.(check bool) "checkpoint stream non-empty" true
     (ck.R.ckpt_snapshots > 0 && ck.R.ckpt_bytes > 0);
+  (* the seeded scenario, pinned: the restore re-mints 6 rows and the
+     two arms converge 1 and 5 ticks after the restart *)
+  Alcotest.(check int) "restored rows" 6 ck.R.restored_rows;
+  Alcotest.(check (option int)) "checkpointed ticks" (Some 1) ck.R.ticks_to_converge;
+  Alcotest.(check (option int)) "cold ticks" (Some 5) cold.R.ticks_to_converge;
   match (ck.R.ticks_to_converge, cold.R.ticks_to_converge) with
   | Some fast, Some slow ->
       Alcotest.(check bool)

@@ -13,17 +13,9 @@ let fresh_dir () =
     (Filename.get_temp_dir_name ())
     (Fmt.str "p2sl_test_%d_%d" (Unix.getpid ()) !dir_counter)
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 let with_dir f =
   let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Framed.rm_rf dir) (fun () -> f dir)
 
 let tuple ?(name = "obs") i =
   Tuple.make ~id:i name

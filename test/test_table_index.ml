@@ -296,6 +296,25 @@ let test_index_key_identity () =
   in
   Alcotest.(check int) "int probe finds id row" 1 (List.length got)
 
+(* An integral float is the same value as the int (Value.equal says
+   so): an indexed probe must find what a scan finds, and the float
+   row must replace the int row under one primary key, not sit beside
+   it. *)
+let test_index_float_identity () =
+  let table = Table.create ~keys:[ 1; 2 ] "t" in
+  ignore (Table.insert table ~now:0. (Tuple.make "t" [ Value.VAddr "a"; Value.VInt 1 ]));
+  let probe = Table.probe table ~now:0. ~positions:[ 2 ] ~values:[ Value.VFloat 1. ] in
+  let scan =
+    List.filter
+      (fun tu -> Value.equal (Tuple.field tu 2) (Value.VFloat 1.))
+      (Table.tuples table ~now:0.)
+  in
+  Alcotest.(check (list string)) "probe = scan"
+    (List.map Tuple.to_string scan) (List.map Tuple.to_string probe);
+  Alcotest.(check int) "float probe finds int row" 1 (List.length probe);
+  ignore (Table.insert table ~now:0. (Tuple.make "t" [ Value.VAddr "a"; Value.VFloat 1. ]));
+  Alcotest.(check int) "one row for one key" 1 (Table.size table ~now:0.)
+
 (* A replaced row keeps its seq: when the replacement changes the
    indexed field, the row moves to another bucket and must land in seq
    position there, not at its end, so probes stay in insertion order. *)
@@ -377,6 +396,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_lazy_index_equals_scan;
           Alcotest.test_case "index creation" `Quick test_index_created;
           Alcotest.test_case "index key identity" `Quick test_index_key_identity;
+          Alcotest.test_case "integral float key identity" `Quick
+            test_index_float_identity;
           Alcotest.test_case "replace moves bucket in seq order" `Quick
             test_replace_moves_bucket;
         ] );

@@ -108,6 +108,10 @@ let test_canonical_key () =
     (canonical_key (VId 5));
   Alcotest.(check string) "id normalized" (canonical_key (VId 5))
     (canonical_key (VId (5 + Ring.space)));
+  Alcotest.(check string) "int/integral float collide" (canonical_key (VInt 1))
+    (canonical_key (VFloat 1.));
+  Alcotest.(check bool) "fractional float keeps its own form" true
+    (canonical_key (VFloat 1.5) <> canonical_key (VInt 1));
   Alcotest.(check bool) "different values differ" true
     (canonical_key (VInt 1) <> canonical_key (VStr "1"));
   Alcotest.(check bool) "list nesting unambiguous" true
@@ -123,6 +127,11 @@ let prop_equal_implies_same_key =
           map (fun s -> (Value.VStr s, Value.VAddr s)) (string_size (int_bound 10));
           map (fun i -> (Value.VInt i, Value.VId i)) (int_bound (Value.Ring.space - 1));
           map (fun i -> (Value.VId i, Value.VId (i + Value.Ring.space)))
+            (int_bound (Value.Ring.space - 1));
+          map
+            (fun i -> (Value.VInt i, Value.VFloat (float_of_int i)))
+            (int_range (-(1 lsl 53)) (1 lsl 53));
+          map (fun i -> (Value.VId i, Value.VFloat (float_of_int i)))
             (int_bound (Value.Ring.space - 1));
         ])
   in
