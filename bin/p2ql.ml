@@ -507,7 +507,8 @@ let chord_cmd =
           ~doc:
             "Restart a crashed node at a given time: recover its hard \
              state from the newest intact checkpoint when $(b,--checkpoint) \
-             is set, cold-boot and rejoin through the landmark otherwise")
+             is set, cold-boot and rejoin through the landmark otherwise \
+             (a cold landmark only reboots: the others rejoin through it)")
   in
   let snapshot_rate =
     Arg.(
@@ -595,6 +596,9 @@ let chord_cmd =
         | `Checkpoint (path, stamp) ->
             Fmt.pr "[%g] restarted %s from %s (stamp %g, %d row(s))@." time addr
               (Filename.basename path) stamp o.P2_runtime.Engine.restored_rows
+        | `Cold when addr = net.landmark ->
+            (* the landmark is where others join; it has no one to rejoin *)
+            Fmt.pr "[%g] restarted %s cold@." time addr
         | `Cold -> Fmt.pr "[%g] restarted %s cold; rejoining via landmark@." time addr);
     P2_runtime.Engine.run_for engine duration;
     Fmt.pr "ring: %a@." Fmt.(list ~sep:(any " -> ") string) (Chord.ring_walk net);

@@ -1,22 +1,21 @@
 (** Strand execution machine: the per-node dataflow interpreter.
 
     Work is scheduled as agenda items so that strand stages can be
-    interleaved (pipelined execution, paper §2.1.2). Two scheduling
-    modes are supported:
+    interleaved (pipelined execution, paper §2.1.2). A trigger queues
+    behind pending work; once an execution starts, its join
+    continuations run depth-first, each match to completion before
+    the next (the sequential semantics of §2.1.1).
 
-    - [Depth_first] (default): each triggering tuple is processed to
-      completion before the next — the sequential semantics of §2.1.1.
-    - [Breadth_first]: join continuations are queued behind other
-      pending work, so two in-flight inputs to the same strand
-      genuinely interleave — exercising the pipelined tracer records.
+    Every agenda item carries its derivation's provenance: the
+    triggering event and the precondition each join stage fetched so
+    far. An emitted head hands it to the tracer as [ruleExec] rows,
+    so the rows are right however executions interleave.
 
     All state access goes through a [ctx] of closures supplied by the
     runtime node, keeping this module independent of the network and
     table plumbing. *)
 
 open Overlog
-
-type mode = Depth_first | Breadth_first
 
 (* Evaluation strategy for table-delta strands. [Seminaive] is the
    planner's delta rewriting (paper §2 / Grumbach-Wang-Wu): the newest
@@ -45,28 +44,31 @@ type ctx = {
   tracer : Tracer.t option;
 }
 
-type prov = { cause_id : int; cause_time : float }
-
-(* One triggering input's execution: [pending] counts agenda items
-   still in flight for it. When it drains to zero the tracer is told
-   the execution finished so it can reclaim that input's record
-   (§2.1.2). *)
-type exec = { mutable pending : int; input_id : int; traced : bool }
-(* [traced = false] for naive-mode re-enumerations: their stage plan
-   has different join numbering than the semi-naive plan the tracer's
-   pipelined records are keyed on, so they bypass the taps entirely. *)
+(* One derivation's provenance, carried by its agenda items. Times
+   are node-local, read right after the observation's tracer tap. *)
+type prov = {
+  cause_id : int;  (* the triggering event *)
+  cause_time : float;
+  traced : bool;
+      (* false for naive-mode re-enumerations: the ablation's plan
+         re-joins the trigger's own table as a precondition, so its
+         rows would differ from the semi-naive derivation's; they
+         bypass the taps entirely *)
+  preconds : (int * float) list;
+      (* (tuple id, time) per join stage passed, newest first; filled
+         only while tracing or recording ground truth *)
+}
 
 type item =
-  | Run of Strand.t * Strand.stage array * int * Eval.Env.t * prov * exec
+  | Run of Strand.t * Strand.stage array * int * Eval.Env.t * prov
       (* execute the given stage plan from index onwards under the
          environment (the plan is carried in the item so a mid-drain
          eval-mode flip cannot mix plans within one execution) *)
-  | Join_cont of
-      Strand.t * Strand.stage array * int * int * (Eval.Env.t * Tuple.t) list * prov * exec
-      (* stage index, join number, remaining matches *)
-  | Complete of Strand.t * int * exec
-      (* deferred stage-completion signal: the join at this stage has
-         handed its last match downstream and seeks new input *)
+  | Join_cont of Strand.t * Strand.stage array * int * (Eval.Env.t * Tuple.t) list * prov
+      (* stage index, remaining matches *)
+  | Complete of Strand.t
+      (* queued behind a join's last match: does nothing but cost one
+         element invocation, as the join seeking its next input *)
 
 (* Hot-path self-metrics (always on; each update is one unboxed
    increment). Reflected into [p2Stats] by the runtime — the names are
@@ -87,7 +89,6 @@ type stats = {
 
 type t = {
   ctx : ctx;
-  mutable mode : mode;
   mutable eval_mode : eval_mode;
   mutable use_probe : bool;
       (* ablation switch: false forces every join/negation back onto
@@ -100,9 +101,10 @@ type t = {
   mutable last_fired : string option;
       (* rule id of the most recently executed strand — the forensic
          breadcrumb reported when the agenda bound trips *)
-  mutable ground_truth : (string * int * int) list;
-      (* (rule, cause event id, output id): provenance oracle used by
-         tests to validate the tracer's inferred ruleExec rows *)
+  mutable ground_truth : (string * int * int * bool) list;
+      (* (rule, cause id, output id, is_event), newest first: every
+         derivation's event and precondition links, the oracle tests
+         check the ruleExec rows against *)
   mutable record_ground_truth : bool;
 }
 
@@ -123,10 +125,9 @@ let () =
              (Option.value last_strand ~default:"<none>"))
     | _ -> None)
 
-let create ?(mode = Depth_first) ctx =
+let create ctx =
   {
     ctx;
-    mode;
     eval_mode = Seminaive;
     use_probe = true;
     front = [];
@@ -149,14 +150,10 @@ let create ?(mode = Depth_first) ctx =
     record_ground_truth = false;
   }
 
-let set_mode t mode = t.mode <- mode
 let set_eval_mode t m = t.eval_mode <- m
 let eval_mode t = t.eval_mode
 let set_use_probe t b = t.use_probe <- b
 let stats t = t.stats
-
-let item_exec = function
-  | Run (_, _, _, _, _, x) | Join_cont (_, _, _, _, _, _, x) | Complete (_, _, x) -> x
 
 let note_push t =
   Metrics.Counter.incr t.stats.enqueued;
@@ -164,12 +161,10 @@ let note_push t =
   if t.depth > t.depth_max then t.depth_max <- t.depth
 
 let push_front t item =
-  (item_exec item).pending <- (item_exec item).pending + 1;
   note_push t;
   t.front <- item :: t.front
 
 let push_back t item =
-  (item_exec item).pending <- (item_exec item).pending + 1;
   note_push t;
   t.back <- item :: t.back
 
@@ -199,32 +194,36 @@ let agenda_depth_max t = t.depth_max
 
 (* --- Tracer taps --- *)
 
-let tap_input t (s : Strand.t) tuple =
+let tracing t =
   match t.ctx.tracer with
-  | Some tr ->
-      Tracer.on_input tr ~rule:s.rule_id ~join_count:s.join_count
-        ~tuple_id:(Tuple.id tuple)
+  | Some tr -> Tracer.enabled tr
+  | None -> false
+
+(* An input or precondition observation; its time is the node-local
+   clock right after. *)
+let tap t =
+  match t.ctx.tracer with
+  | Some tr -> Tracer.tap tr
   | None -> ()
 
-let tap_precondition t (s : Strand.t) ~jstage tuple =
+let tap_output t (s : Strand.t) prov tuple =
   match t.ctx.tracer with
   | Some tr ->
-      Tracer.on_precondition tr ~rule:s.rule_id ~join_count:s.join_count ~stage:jstage
-        ~tuple_id:(Tuple.id tuple)
+      Tracer.on_output tr ~rule:s.rule_id ~cause:prov.cause_id ~t_cause:prov.cause_time
+        ~preconds:(List.rev prov.preconds) ~tuple_id:(Tuple.id tuple)
   | None -> ()
 
-let tap_stage_complete t (s : Strand.t) ~jstage =
-  match t.ctx.tracer with
-  | Some tr ->
-      Tracer.on_stage_complete tr ~rule:s.rule_id ~join_count:s.join_count ~stage:jstage
-  | None -> ()
+(* A derivation triggered by [tuple]: its cause is observed now, right
+   after the input tap. *)
+let provenance t tuple ~traced =
+  { cause_id = Tuple.id tuple; cause_time = t.ctx.now (); traced; preconds = [] }
 
-let tap_output t (s : Strand.t) tuple =
-  match t.ctx.tracer with
-  | Some tr ->
-      Tracer.on_output tr ~rule:s.rule_id ~join_count:s.join_count
-        ~tuple_id:(Tuple.id tuple)
-  | None -> ()
+let record_truth t (s : Strand.t) prov tuple =
+  let effect = Tuple.id tuple in
+  t.ground_truth <- (s.rule_id, prov.cause_id, effect, true) :: t.ground_truth;
+  List.iter
+    (fun (id, _) -> t.ground_truth <- (s.rule_id, id, effect, false) :: t.ground_truth)
+    (List.rev prov.preconds)
 
 (* --- Head emission --- *)
 
@@ -244,7 +243,7 @@ let eval_delete_field ctx env e =
   | Ast.Var _ -> Value.VNull
   | e -> Eval.eval ctx env e
 
-let emit_head t (s : Strand.t) env prov x =
+let emit_head t (s : Strand.t) env prov =
   let ctx = t.ctx in
   let head = s.head in
   if head.hdelete then begin
@@ -273,9 +272,8 @@ let emit_head t (s : Strand.t) env prov x =
     ctx.charge Cost.element;
     let dst = match loc with Value.VAddr a -> a | _ -> ctx.addr in
     let tuple = ctx.create_tuple ~dst head.hatom (loc :: fields) in
-    if x.traced then tap_output t s tuple;
-    if t.record_ground_truth then
-      t.ground_truth <- (s.rule_id, prov.cause_id, Tuple.id tuple) :: t.ground_truth;
+    if prov.traced then tap_output t s prov tuple;
+    if t.record_ground_truth then record_truth t s prov tuple;
     Metrics.Counter.incr t.stats.rule_executions;
     ctx.emit ~delete:false tuple
   end
@@ -312,26 +310,26 @@ let candidates t env (atom : Ast.atom) bound bound_args =
 
 (* Run non-join stages inline from [idx]; stop at the next join or the
    head. *)
-let rec run_from t (s : Strand.t) stages idx env prov x =
-  if idx >= Array.length stages then emit_head t s env prov x
+let rec run_from t (s : Strand.t) stages idx env prov =
+  if idx >= Array.length stages then emit_head t s env prov
   else
     match stages.(idx) with
     | Strand.Select e ->
         t.ctx.charge Cost.eval;
         if Eval.eval_bool t.ctx.eval_ctx env e then
-          run_from t s stages (idx + 1) env prov x
+          run_from t s stages (idx + 1) env prov
     | Strand.Bind (v, e) ->
         t.ctx.charge Cost.eval;
         let env = Eval.Env.bind env v (Eval.eval t.ctx.eval_ctx env e) in
-        run_from t s stages (idx + 1) env prov x
+        run_from t s stages (idx + 1) env prov
     | Strand.Neg_join { atom; bound; bound_args } ->
         t.ctx.charge Cost.table_lookup;
         let exists =
           Eval.match_atom_exists t.ctx.eval_ctx env atom
             (candidates t env atom bound bound_args)
         in
-        if not exists then run_from t s stages (idx + 1) env prov x
-    | Strand.Join { atom; jstage; bound; bound_args } ->
+        if not exists then run_from t s stages (idx + 1) env prov
+    | Strand.Join { atom; bound; bound_args; _ } ->
         (* Cost model: P2 joins probe hash-indexed tables, so a probe
            costs one lookup plus work proportional to the matches it
            yields — not to the table size. Since the store grew real
@@ -344,36 +342,27 @@ let rec run_from t (s : Strand.t) stages idx env prov x =
             t.ctx.eval_ctx env atom
             (candidates t env atom bound bound_args)
         in
-        if matches = [] then (if x.traced then tap_stage_complete t s ~jstage)
-        else process_join t s stages idx jstage matches prov x
+        process_join t s stages idx matches prov
 
-and process_join t s stages idx jstage matches prov x =
+(* Continue the first match to completion, then the rest. The match's
+   tuple joins the provenance its downstream items carry. *)
+and process_join t s stages idx matches prov =
   match matches with
-  | [] -> if x.traced then tap_stage_complete t s ~jstage
+  | [] -> ()
   | (env', tuple) :: rest ->
-      if x.traced then tap_precondition t s ~jstage tuple;
-      (match t.mode with
-      | Depth_first ->
-          (* Continue this match to completion first, then the rest;
-             the completion signal runs after the last match's
-             downstream work. *)
-          if rest = [] then push_front t (Complete (s, jstage, x))
-          else push_front t (Join_cont (s, stages, idx, jstage, rest, prov, x));
-          push_front t (Run (s, stages, idx + 1, env', prov, x))
-      | Breadth_first ->
-          push_back t (Run (s, stages, idx + 1, env', prov, x));
-          if rest = [] then push_back t (Complete (s, jstage, x))
-          else push_back t (Join_cont (s, stages, idx, jstage, rest, prov, x)))
-
-let tap_execution_complete t (s : Strand.t) ~input_id =
-  match t.ctx.tracer with
-  | Some tr ->
-      Tracer.on_execution_complete tr ~rule:s.rule_id ~join_count:s.join_count
-        ~input_id
-  | None -> ()
+      let derived =
+        if prov.traced && (tracing t || t.record_ground_truth) then begin
+          tap t;
+          { prov with preconds = (Tuple.id tuple, t.ctx.now ()) :: prov.preconds }
+        end
+        else prov
+      in
+      if rest = [] then push_front t (Complete s)
+      else push_front t (Join_cont (s, stages, idx, rest, prov));
+      push_front t (Run (s, stages, idx + 1, env', derived))
 
 let item_strand = function
-  | Run (s, _, _, _, _, _) | Join_cont (s, _, _, _, _, _, _) | Complete (s, _, _) -> s
+  | Run (s, _, _, _, _) | Join_cont (s, _, _, _, _) | Complete s -> s
 
 let exec_item t item =
   t.ctx.charge Cost.element;
@@ -382,14 +371,10 @@ let exec_item t item =
   t.last_fired <- Some s0.Strand.rule_id;
   Eval.in_rule ~rule:s0.Strand.rule_id ~pred:s0.head.Ast.hatom (fun () ->
       match item with
-      | Run (s, stages, idx, env, prov, x) -> run_from t s stages idx env prov x
-      | Join_cont (s, stages, idx, jstage, matches, prov, x) ->
-          process_join t s stages idx jstage matches prov x
-      | Complete (s, jstage, x) -> if x.traced then tap_stage_complete t s ~jstage);
-  let x = item_exec item in
-  x.pending <- x.pending - 1;
-  if x.pending = 0 && x.traced then
-    tap_execution_complete t (item_strand item) ~input_id:x.input_id
+      | Run (s, stages, idx, env, prov) -> run_from t s stages idx env prov
+      | Join_cont (s, stages, idx, matches, prov) ->
+          process_join t s stages idx matches prov
+      | Complete _ -> ())
 
 (* --- Aggregates --- *)
 
@@ -458,7 +443,7 @@ let agg_value (agg : Ast.aggregate) envs ctx =
   ignore ctx;
   r
 
-let run_aggregate t (s : Strand.t) env0 trigger_tuple =
+let run_aggregate t (s : Strand.t) env0 prov =
   let ctx = t.ctx in
   let plan = Option.get s.aggregate in
   let envs = enumerate t s env0 in
@@ -533,15 +518,11 @@ let run_aggregate t (s : Strand.t) env0 trigger_tuple =
           in
           let dst = match loc with Value.VAddr a -> a | _ -> ctx.addr in
           let tuple = ctx.create_tuple ~dst s.head.hatom (loc :: fields) in
-          tap_output t s tuple;
-          if t.record_ground_truth then
-            t.ground_truth <-
-              (s.rule_id, Tuple.id trigger_tuple, Tuple.id tuple) :: t.ground_truth;
+          tap_output t s prov tuple;
+          if t.record_ground_truth then record_truth t s prov tuple;
           Metrics.Counter.incr t.stats.rule_executions;
           ctx.emit ~delete:s.head.hdelete tuple)
-    (List.rev !group_order);
-  (* The virtual stage completes immediately: aggregates are atomic. *)
-  tap_stage_complete t s ~jstage:0
+    (List.rev !group_order)
 
 (* --- Triggering --- *)
 
@@ -580,15 +561,8 @@ let trigger t (s : Strand.t) tuple =
     Metrics.Counter.incr t.stats.triggers;
     Metrics.Counter.incr t.stats.naive_refires;
     t.last_fired <- Some s.rule_id;
-    let prov = { cause_id = Tuple.id tuple; cause_time = t.ctx.now () } in
-    push_back t
-      (Run
-         ( s,
-           s.naive_stages_arr,
-           0,
-           Eval.Env.empty,
-           prov,
-           { pending = 0; input_id = Tuple.id tuple; traced = false } ));
+    let prov = provenance t tuple ~traced:false in
+    push_back t (Run (s, s.naive_stages_arr, 0, Eval.Env.empty, prov));
     true
   end
   else
@@ -600,6 +574,8 @@ let trigger t (s : Strand.t) tuple =
     | Some env ->
         Metrics.Counter.incr t.stats.triggers;
         t.last_fired <- Some s.rule_id;
+        tap t;
+        let prov = provenance t tuple ~traced:true in
         Eval.in_rule ~rule:s.rule_id ~pred:s.head.Ast.hatom (fun () ->
             match s.aggregate with
             | Some _ ->
@@ -608,20 +584,8 @@ let trigger t (s : Strand.t) tuple =
                   | Strand.Table_delta _ -> restrict_to_group_vars s env
                   | Strand.Event _ | Strand.Periodic _ -> env
                 in
-                tap_input t s tuple;
-                run_aggregate t s env tuple;
-                tap_execution_complete t s ~input_id:(Tuple.id tuple)
-            | None ->
-                tap_input t s tuple;
-                let prov = { cause_id = Tuple.id tuple; cause_time = t.ctx.now () } in
-                push_back t
-                  (Run
-                     ( s,
-                       s.stages_arr,
-                       0,
-                       env,
-                       prov,
-                       { pending = 0; input_id = Tuple.id tuple; traced = true } )));
+                run_aggregate t s env prov
+            | None -> push_back t (Run (s, s.stages_arr, 0, env, prov)));
         true
 
 (** Drain the agenda. Bounded to guard against runaway recursive

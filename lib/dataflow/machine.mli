@@ -1,12 +1,10 @@
 (** Strand execution machine: the per-node dataflow interpreter.
     Work is scheduled as agenda items so strand stages can interleave
-    (pipelined execution, paper §2.1.2). *)
+    (pipelined execution, paper §2.1.2). Each item carries its
+    derivation's cause and preconditions, which an emitted head hands
+    to the tracer as [ruleExec] rows. *)
 
 open Overlog
-
-type mode =
-  | Depth_first  (** each trigger runs to completion — §2.1.1 semantics *)
-  | Breadth_first  (** join continuations queue behind other work *)
 
 (** Evaluation strategy for table-delta strands. [Seminaive] (default)
     is the planner's delta rewriting: the newest tuple — a frontier of
@@ -59,8 +57,7 @@ type stats = {
 exception
   Agenda_explosion of { addr : string; last_strand : string option; items : int }
 
-val create : ?mode:mode -> ctx -> t
-val set_mode : t -> mode -> unit
+val create : ctx -> t
 
 (** Switch the delta-strand evaluation strategy. Flipping it between
     drains is safe (in-flight agenda items carry their stage plan);
@@ -97,9 +94,11 @@ val drain : ?max_items:int -> t -> unit
 (** Rule id of the most recently executed strand, if any. *)
 val last_fired : t -> string option
 
-(** Provenance oracle used by tests to validate the tracer's inferred
-    ruleExec rows: (rule, cause event id, output id). *)
+(** Provenance oracle the tests check [ruleExec] rows against: every
+    derivation since recording began, as (rule, cause id, output id,
+    is_event) — the event link first, then one link per precondition
+    in stage order, the key of the rows the tracer should hold. *)
 
 val set_record_ground_truth : t -> bool -> unit
-val ground_truth : t -> (string * int * int) list
+val ground_truth : t -> (string * int * int * bool) list
 val clear_ground_truth : t -> unit

@@ -4,8 +4,7 @@
     A strand has a trigger (the tuple event that starts it), a sequence
     of stages (table joins, selections, assignments), and a head
     action. Join stages are the stateful elements of the paper and are
-    numbered; the tracer's pipelined record machinery (§2.1.2) is
-    keyed on these stage numbers. *)
+    numbered in order. *)
 
 open Overlog
 

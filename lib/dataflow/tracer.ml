@@ -1,13 +1,14 @@
 (** Execution tracer (paper §2.1).
 
-    Dataflow taps report three kinds of observation per rule strand:
-    the input event entering the strand, each precondition tuple
-    fetched by a join stage, and the output tuple leaving the strand.
-    The tracer correlates them into causal [ruleExec] rows:
+    The execution machine reports each derivation once, when its
+    output tuple leaves the strand, together with the provenance its
+    agenda items carried: the triggering event and the precondition
+    tuple each join stage fetched, each with the node-local time it
+    was observed. The tracer writes them as causal [ruleExec] rows:
 
     {v ruleExec(localAddr, ruleID, causeID, effectID, tCause, tOut, isEvent) v}
 
-    one row linking the triggering event to each output (isEvent =
+    one row linking the triggering event to the output (isEvent =
     true) and one row per precondition (isEvent = false). Tuples are
     memoized by node-unique ID through the [tupleTable]:
 
@@ -18,25 +19,13 @@
     times out, or, for a tuple no [ruleExec] row refers to, when its
     [tupleTable] row times out.
 
-    Pipelined execution (§2.1.2) is handled by keeping multiple tracer
-    records per rule, each associated with a contiguous interval of
-    join stages; stage-completion signals advance the interval, and an
-    output is matched to the most advanced record. *)
+    Pipelined executions (§2.1.2) need no matching here: every
+    derivation carries its own cause and preconditions through the
+    agenda, however its stages interleave with other executions. *)
 
 open Overlog
 
-type record = {
-  created : int;  (* monotone counter for "newest" tie-breaks *)
-  mutable lo : int;  (* first associated stage *)
-  mutable hi : int;  (* one past the last associated stage *)
-  mutable input : (int * float) option;  (* tuple id, observation time *)
-  mutable preconds : (int * float) option array;  (* slot per join stage *)
-}
-
-type rule_state = { join_count : int; mutable records : record list (* newest first *) }
-
 type config = {
-  max_records_per_rule : int;  (* the paper's fixed record array *)
   rule_exec_lifetime : float;
   rule_exec_cap : int;
   tuple_table_lifetime : float;
@@ -44,7 +33,6 @@ type config = {
 
 let default_config =
   {
-    max_records_per_rule = 16;
     rule_exec_lifetime = 30.;
     rule_exec_cap = 2048;
     tuple_table_lifetime = 60.;
@@ -55,7 +43,6 @@ let default_config =
    to the segment log. *)
 let spill_config =
   {
-    max_records_per_rule = 16;
     rule_exec_lifetime = 5.;
     rule_exec_cap = 256;
     tuple_table_lifetime = 10.;
@@ -66,7 +53,6 @@ let spill_config =
    drop the very rows a forensic query is after. *)
 let replay_config =
   {
-    max_records_per_rule = 16;
     rule_exec_lifetime = infinity;
     rule_exec_cap = 1_000_000;
     tuple_table_lifetime = infinity;
@@ -86,8 +72,6 @@ type stats = {
 type t = {
   addr : string;
   mutable enabled : bool;
-  config : config;
-  rules : rule_state Strtbl.t;
   rule_exec : Store.Table.t;
   tuple_table : Store.Table.t;
   contents : (int, Tuple.t) Hashtbl.t;  (* tuple id -> memoized tuple *)
@@ -95,7 +79,6 @@ type t = {
   refs : (int, int) Hashtbl.t;  (* tuple id -> ruleExec reference count *)
   charge : float -> unit;
   now : unit -> float;
-  mutable seq : int;
   stats : stats;
   mutable sink : (stamp:float -> delete:bool -> Tuple.t -> unit) option;
       (* flight-recorder tap: called once per registered tuple and per
@@ -132,8 +115,6 @@ let create ?(config = default_config) ~addr ~now ~charge () =
     {
       addr;
       enabled = false;
-      config;
-      rules = Strtbl.create 32;
       rule_exec;
       tuple_table;
       contents = Hashtbl.create 256;
@@ -141,7 +122,6 @@ let create ?(config = default_config) ~addr ~now ~charge () =
       refs = Hashtbl.create 256;
       charge;
       now;
-      seq = 0;
       stats =
         {
           taps = Metrics.Counter.create ();
@@ -282,164 +262,24 @@ let restore t tuple =
       ()
   | _ -> memo_add t (Tuple.id tuple) tuple
 
-let state_for t ~rule ~join_count =
-  match Strtbl.find_opt t.rules rule with
-  | Some s -> s
-  | None ->
-      let s = { join_count; records = [] } in
-      Strtbl.replace t.rules rule s;
-      s
-
-let fresh_record t ~join_count =
-  t.seq <- t.seq + 1;
-  {
-    created = t.seq;
-    lo = 0;
-    hi = 1;
-    input = None;
-    preconds = Array.make (max join_count 1) None;
-  }
-
-(* Effective stage count: strands without joins get one virtual stage
-   so the record lifecycle (input -> output -> completion) still runs. *)
-let stage_count s = max s.join_count 1
-
-(** A trigger tuple entered the strand for [rule]. *)
-let on_input t ~rule ~join_count ~tuple_id =
+(** One input or precondition observation: a tap charge, the
+    observation's time being read by the caller right after it. *)
+let tap t =
   if t.enabled then begin
     t.charge tap_cost;
-    Metrics.Counter.incr t.stats.taps;
-    let s = state_for t ~rule ~join_count in
-    (* Reuse a record whose stage interval has emptied (execution
-       done); otherwise evict the oldest when at capacity (the paper's
-       fixed number of execution records). *)
-    let record =
-      match List.find_opt (fun r -> r.lo >= stage_count s) s.records with
-      | Some r ->
-          r.lo <- 0;
-          r.hi <- 1;
-          Array.fill r.preconds 0 (Array.length r.preconds) None;
-          r
-      | None ->
-          if List.length s.records >= t.config.max_records_per_rule then
-            s.records <-
-              (match List.rev s.records with
-              | _oldest :: rest -> List.rev rest
-              | [] -> []);
-          let r = fresh_record t ~join_count in
-          s.records <- r :: s.records;
-          r
-    in
-    record.input <- Some (tuple_id, t.now ())
+    Metrics.Counter.incr t.stats.taps
   end
 
-(* The record currently associated with stage [i]; if none, extend the
-   record with the latest associated stages to contain [i] (§2.1.2). *)
-let record_for_stage s i =
-  match List.find_opt (fun r -> r.lo <= i && i < r.hi) s.records with
-  | Some r -> Some r
-  | None -> (
-      let candidates = List.filter (fun r -> r.hi <= i) s.records in
-      match
-        List.sort
-          (fun a b ->
-            match compare b.hi a.hi with 0 -> compare b.created a.created | c -> c)
-          candidates
-      with
-      | r :: _ ->
-          r.hi <- i + 1;
-          Some r
-      | [] -> None)
-
-(** A join at stage [stage] fetched precondition tuple [tuple_id]. *)
-let on_precondition t ~rule ~join_count ~stage ~tuple_id =
+(** An output tuple left [rule]'s strand: one event row from [cause]
+    (observed at [t_cause]) and one row per precondition, in the order
+    given (stage order), each with its observation time. *)
+let on_output t ~rule ~cause ~t_cause ~preconds ~tuple_id =
   if t.enabled then begin
-    t.charge tap_cost;
-    Metrics.Counter.incr t.stats.taps;
-    let s = state_for t ~rule ~join_count in
-    match record_for_stage s stage with
-    | None -> ()
-    | Some r ->
-        if stage < Array.length r.preconds then begin
-          r.preconds.(stage) <- Some (tuple_id, t.now ());
-          (* Flush any filled-in fields to the right: tuples flow left
-             to right, so they belong to an abandoned sub-execution. *)
-          for j = stage + 1 to Array.length r.preconds - 1 do
-            r.preconds.(j) <- None
-          done
-        end
+    tap t;
+    let t_out = t.now () in
+    emit_rule_exec t ~rule ~cause ~effect:tuple_id ~t_cause ~t_out ~is_event:true;
+    List.iter
+      (fun (cause, t_cause) ->
+        emit_rule_exec t ~rule ~cause ~effect:tuple_id ~t_cause ~t_out ~is_event:false)
+      preconds
   end
-
-(** The stateful element at [stage] finished its current input and is
-    seeking a new one. *)
-let on_stage_complete t ~rule ~join_count ~stage =
-  if t.enabled then begin
-    let s = state_for t ~rule ~join_count in
-    match List.find_opt (fun r -> r.lo = stage && r.hi > r.lo) s.records with
-    | Some r ->
-        (* Abandon the completed stage; the record is now associated
-           with the next stage onward (it is "between" joins). *)
-        r.lo <- stage + 1;
-        if r.hi < r.lo + 1 then r.hi <- r.lo + 1;
-        (* Execution fully done: drop the record. *)
-        if r.lo >= stage_count s then
-          s.records <- List.filter (fun x -> x != r) s.records
-    | None -> ()
-  end
-
-(** All work spawned by the triggering input [input_id] has drained:
-    reclaim its record. Stage-completion signals alone cannot reclaim
-    records of executions that die at a selection after their joins
-    (under depth-first scheduling the completion for an earlier stage
-    arrives when the record's association has already moved on), and a
-    lingering record would capture the next execution's preconditions
-    and misattribute its outputs. A record already reclaimed by full
-    stage advancement makes this a no-op. *)
-let on_execution_complete t ~rule ~join_count ~input_id =
-  if t.enabled then begin
-    let s = state_for t ~rule ~join_count in
-    s.records <-
-      List.filter
-        (fun r -> match r.input with Some (id, _) -> id <> input_id | None -> true)
-        s.records
-  end
-
-(** An output tuple left the strand: package the most advanced record
-    into ruleExec rows. *)
-let on_output t ~rule ~join_count ~tuple_id =
-  if t.enabled then begin
-    t.charge tap_cost;
-    Metrics.Counter.incr t.stats.taps;
-    let s = state_for t ~rule ~join_count in
-    let best =
-      List.fold_left
-        (fun acc r ->
-          match acc with
-          | None -> Some r
-          | Some b ->
-              if r.hi > b.hi || (r.hi = b.hi && r.created > b.created) then Some r
-              else acc)
-        None s.records
-    in
-    match best with
-    | None -> ()
-    | Some r ->
-        let t_out = t.now () in
-        (match r.input with
-        | Some (cause, t_cause) ->
-            emit_rule_exec t ~rule ~cause ~effect:tuple_id ~t_cause ~t_out ~is_event:true
-        | None -> ());
-        Array.iter
-          (function
-            | Some (cause, t_cause) ->
-                emit_rule_exec t ~rule ~cause ~effect:tuple_id ~t_cause ~t_out
-                  ~is_event:false
-            | None -> ())
-          r.preconds
-  end
-
-(* Test/debug visibility. *)
-let record_count t rule =
-  match Strtbl.find_opt t.rules rule with
-  | Some s -> List.length s.records
-  | None -> 0

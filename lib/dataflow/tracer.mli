@@ -1,14 +1,14 @@
-(** Execution tracer (paper §2.1): correlates strand taps into causal
-    [ruleExec] rows and memoizes tuples in the [tupleTable] with
-    reference counting. Handles pipelined executions via per-rule
-    records associated with intervals of join stages (§2.1.2). *)
+(** Execution tracer (paper §2.1): writes each derivation's causal
+    [ruleExec] rows from the cause and preconditions the execution
+    machine carried with it, and memoizes tuples in the [tupleTable]
+    with reference counting. Pipelined executions (§2.1.2) need no
+    stage matching: each derivation arrives with its own provenance. *)
 
 open Overlog
 
 type t
 
 type config = {
-  max_records_per_rule : int;  (** the paper's fixed record array *)
   rule_exec_lifetime : float;
   rule_exec_cap : int;
   tuple_table_lifetime : float;
@@ -84,19 +84,24 @@ val live_tuples : t -> now:float -> int
 (** Record a created or received tuple in the tupleTable. *)
 val register_tuple : t -> Tuple.t -> src:string -> src_id:int -> dst:string -> unit
 
-(** Taps, driven by the execution machine. *)
+(** Taps, driven by the execution machine. Each charges one
+    [Cost.tracer_tap] and counts one [tracer.taps] while tracing is
+    enabled; a disabled tracer records nothing. *)
 
-val on_input : t -> rule:string -> join_count:int -> tuple_id:int -> unit
+(** One input or precondition observation. The machine reads the
+    node-local clock right after it: that is the observation's time. *)
+val tap : t -> unit
 
-val on_precondition :
-  t -> rule:string -> join_count:int -> stage:int -> tuple_id:int -> unit
-
-val on_stage_complete : t -> rule:string -> join_count:int -> stage:int -> unit
-val on_output : t -> rule:string -> join_count:int -> tuple_id:int -> unit
-
-(** All agenda work for the triggering input [input_id] has drained:
-    reclaim its record. *)
-val on_execution_complete : t -> rule:string -> join_count:int -> input_id:int -> unit
-
-(** Number of live tracer records for a rule (tests). *)
-val record_count : t -> string -> int
+(** An output tuple [tuple_id] left [rule]'s strand: write the event
+    row from [cause] (observed at [t_cause]) and then one row per
+    precondition, in the order given (stage order), each a tuple id
+    and its observation time. All rows share [tOut], read right after
+    this tap's charge. *)
+val on_output :
+  t ->
+  rule:string ->
+  cause:int ->
+  t_cause:float ->
+  preconds:(int * float) list ->
+  tuple_id:int ->
+  unit

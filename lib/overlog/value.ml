@@ -58,8 +58,8 @@ let rec equal v1 v2 =
   | VNull, VNull -> true
   (* Numeric cross-comparison: ints and ids compare by numeric value so
      that rules may mix them (`NID < SID` where one side came from a
-     constant). *)
-  | VInt a, VId b | VId a, VInt b -> a = b
+     constant). The id is read on the ring, as [compare] reads it. *)
+  | VInt a, VId b | VId b, VInt a -> a = Ring.norm b
   | VInt a, VFloat b | VFloat b, VInt a -> float_of_int a = b
   | VId a, VFloat b | VFloat b, VId a -> float_of_int (Ring.norm a) = b
   (* Program-text constants are strings; runtime locations are

@@ -1,6 +1,6 @@
 (* Strand execution: joins, selections, assignments, aggregates,
-   multi-match fan-out, scheduling modes. Uses a standalone harness
-   with in-memory tables (no network, no node). *)
+   multi-match fan-out. Uses a standalone harness with in-memory
+   tables (no network, no node). *)
 
 open Overlog
 open Dataflow
@@ -12,7 +12,7 @@ type harness = {
   mutable next_id : int;
 }
 
-let make_harness ?(tables = []) ?mode () =
+let make_harness ?(tables = []) () =
   let catalog = Store.Catalog.create () in
   List.iter
     (fun (name, keys) -> Store.Catalog.add catalog (Store.Table.create ~keys name))
@@ -50,7 +50,7 @@ let make_harness ?(tables = []) ?mode () =
       tracer = None;
     }
   in
-  let h = { machine = Machine.create ?mode ctx; catalog; emitted; next_id = 100 } in
+  let h = { machine = Machine.create ctx; catalog; emitted; next_id = 100 } in
   h_ref := Some h;
   h
 
@@ -143,20 +143,6 @@ let test_multi_join () =
     List.map (fun t -> Value.as_int (Tuple.field t 4)) (results h) |> List.sort compare
   in
   Alcotest.(check (list int)) "values" [ 100; 200; 201 ] zs
-
-let test_breadth_first_same_results () =
-  let run mode =
-    let h = make_harness ~tables:[ ("a", []); ("b", []) ] ~mode () in
-    let s = strand ~tables:[ "a"; "b" ] h "r out@N(X, Y, Z) :- ev@N(X), a@N(X, Y), b@N(Y, Z)." in
-    put h "a" [ addr "n"; vi 1; vi 10 ];
-    put h "a" [ addr "n"; vi 1; vi 20 ];
-    put h "b" [ addr "n"; vi 10; vi 100 ];
-    put h "b" [ addr "n"; vi 20; vi 200 ];
-    ignore (fire h s "ev" [ addr "n"; vi 1 ]);
-    List.map Tuple.to_string (results h) |> List.sort compare
-  in
-  Alcotest.(check (list string)) "modes agree"
-    (run Machine.Depth_first) (run Machine.Breadth_first)
 
 let test_selection_between_joins () =
   let h = make_harness ~tables:[ ("a", []); ("b", []) ] () in
@@ -371,7 +357,6 @@ let () =
           Alcotest.test_case "join fanout" `Quick test_join_fanout;
           Alcotest.test_case "join unification" `Quick test_join_unification;
           Alcotest.test_case "multi join" `Quick test_multi_join;
-          Alcotest.test_case "bfs = dfs results" `Quick test_breadth_first_same_results;
           Alcotest.test_case "selection between joins" `Quick test_selection_between_joins;
           Alcotest.test_case "remote head" `Quick test_remote_head_location;
           Alcotest.test_case "delete wildcards" `Quick test_delete_head_with_wildcards;

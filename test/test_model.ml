@@ -1,7 +1,6 @@
 (* Heavier property suites:
    - model-based checking of Table against a reference implementation
      under random operation sequences;
-   - engine-level equivalence of the two strand-scheduling modes;
    - Chord ring convergence across seeds. *)
 
 open Overlog
@@ -74,38 +73,6 @@ let prop_table_matches_model =
       in
       actual = Model.contents model !now)
 
-(* --- scheduling-mode equivalence at the engine level --- *)
-
-let run_mode mode =
-  let engine = P2_runtime.Engine.create ~seed:17 () in
-  ignore (P2_runtime.Engine.add_node engine "a");
-  let node = P2_runtime.Engine.node engine "a" in
-  Dataflow.Machine.set_mode (P2_runtime.Node.machine node) mode;
-  P2_runtime.Engine.install engine "a"
-    {|
-materialize(a, infinity, infinity, keys(1,2)).
-materialize(b, infinity, infinity, keys(1,2,3)).
-materialize(outt, infinity, infinity, keys(1,2,3,4)).
-r1 outt@N(X, Y, Z) :- ev@N(X), a@N(Y), b@N(Y, Z).
-|};
-  P2_runtime.Engine.install engine "a"
-    "a@a(1). a@a(2). b@a(1, 10). b@a(1, 11). b@a(2, 20).";
-  P2_runtime.Engine.run_for engine 1.;
-  ignore @@ P2_runtime.Engine.inject engine "a" "ev" [ Value.VInt 7 ];
-  ignore @@ P2_runtime.Engine.inject engine "a" "ev" [ Value.VInt 8 ];
-  P2_runtime.Engine.run_for engine 1.;
-  match Store.Catalog.find (P2_runtime.Node.catalog node) "outt" with
-  | Some t ->
-      Store.Table.tuples t ~now:(P2_runtime.Engine.now engine)
-      |> List.map Tuple.to_string |> List.sort compare
-  | None -> []
-
-let test_modes_equivalent () =
-  let dfs = run_mode Dataflow.Machine.Depth_first in
-  let bfs = run_mode Dataflow.Machine.Breadth_first in
-  Alcotest.(check int) "six results" 6 (List.length dfs);
-  Alcotest.(check (list string)) "modes derive the same facts" dfs bfs
-
 (* --- chord convergence across seeds --- *)
 
 let test_chord_converges_across_seeds () =
@@ -139,8 +106,6 @@ let () =
   Alcotest.run "model"
     [
       ("table", [ QCheck_alcotest.to_alcotest prop_table_matches_model ]);
-      ( "scheduling",
-        [ Alcotest.test_case "dfs = bfs" `Quick test_modes_equivalent ] );
       ( "chord",
         [
           Alcotest.test_case "multi-seed convergence" `Slow

@@ -20,6 +20,17 @@ let test_equality () =
        (Value.VList [ Value.VInt 1; Value.VStr "a" ])
        (Value.VList [ Value.VInt 1; Value.VStr "a" ]))
 
+(* An id past the ring is the id on the ring: [equal], [compare] and
+   the canonical key must agree on it, whichever side the int is on. *)
+let test_int_id_past_ring () =
+  let i = Value.VInt 5 and id = Value.VId (5 + Value.Ring.space) in
+  Alcotest.(check bool) "int = id" true (Value.equal i id);
+  Alcotest.(check bool) "id = int" true (Value.equal id i);
+  Alcotest.(check int) "compare agrees" 0 (Value.compare i id);
+  Alcotest.(check string) "keys agree" (Value.canonical_key i) (Value.canonical_key id);
+  Alcotest.(check bool) "the raw int is another value" false
+    (Value.equal (Value.VInt (5 + Value.Ring.space)) (Value.VId 5))
+
 let test_compare () =
   Alcotest.(check bool) "lt" true (Value.compare (Value.VInt 1) (Value.VInt 2) < 0);
   Alcotest.(check bool) "float/int" true
@@ -264,6 +275,7 @@ let () =
       ( "value",
         [
           Alcotest.test_case "equality" `Quick test_equality;
+          Alcotest.test_case "int/id past the ring" `Quick test_int_id_past_ring;
           Alcotest.test_case "compare" `Quick test_compare;
           Alcotest.test_case "accessors" `Quick test_accessors;
           Alcotest.test_case "truthy" `Quick test_truthy;
